@@ -77,8 +77,8 @@ def _mlp_case(rng):
     ]
 
     def forward(p):
-        h = T.matmul(Tensor(x), p[0]) + p[1]
-        h = h.tanh() if act == "tanh" else h.relu()
+        # first layer fused, second as the matmul + add chain: both forms stay checked
+        h = T.dense(Tensor(x), p[0], p[1], act)
         y = T.matmul(h, p[2]) + p[3]
         err = (y - Tensor(tgt)).square().mean(axis=1)
         return err.mean()

@@ -14,8 +14,10 @@ the alternating updates well defined.
 from __future__ import annotations
 
 import enum
+import os
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -79,14 +81,10 @@ class Mlp:
             self.biases.append(Tensor(np.zeros(fan_out), requires_grad=True))
 
     def __call__(self, x: Tensor) -> Tensor:
-        n_layers = len(self.weights)
+        hidden = self.activation if self.activation in ("tanh", "relu") else None
+        last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            x = T.matmul(x, w) + b
-            if i < n_layers - 1:
-                if self.activation == "tanh":
-                    x = x.tanh()
-                elif self.activation == "relu":
-                    x = x.relu()
+            x = T.dense(x, w, b, hidden if i < last else None)
         return x
 
     def params(self):
@@ -310,8 +308,19 @@ def save_checkpoint(bundle: ModelBundle, path):
         blob += struct.pack("<I", p.data.ndim)
         blob += struct.pack(f"<{p.data.ndim}I", *p.data.shape)
         blob += np.ascontiguousarray(p.data, dtype="<f8").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    # write a sibling file and rename it over the target, so an interrupted
+    # write never leaves a truncated checkpoint behind
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if tmp.exists():
+            tmp.unlink()
 
 
 class _Reader:

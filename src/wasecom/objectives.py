@@ -21,7 +21,7 @@ import numpy as np
 
 from . import models as M
 from . import tensor as T
-from .channel import ChannelConfig, apply_realization, transmit
+from .channel import ChannelConfig, ChannelRealization, apply_realization, transmit
 from .perturb import PerturbMethod, PerturbSpec, fgsm, gaussian_samples, pgd
 from .tensor import Tensor
 
@@ -82,13 +82,12 @@ def lse_smooth(values, epsilon_temp: float) -> float:
     return float(m + epsilon_temp * np.log(np.mean(np.exp((v - m) / epsilon_temp))))
 
 
-def lse_combine(scored: list[Tensor], epsilon_temp: float) -> Tensor:
-    """In-graph per-sample LSE across K scored copies; max is detached."""
-    m = np.maximum.reduce([s.data for s in scored])
-    acc = T.exp(T.scale(scored[0] - Tensor(m), 1.0 / epsilon_temp))
-    for s in scored[1:]:
-        acc = acc + T.exp(T.scale(s - Tensor(m), 1.0 / epsilon_temp))
-    return Tensor(m) + T.scale(T.log(T.scale(acc, 1.0 / len(scored))), epsilon_temp)
+def lse_combine(scored: Tensor, epsilon_temp: float) -> Tensor:
+    """In-graph per-sample LSE over axis 0 of a (K, B) score tensor; max is detached."""
+    m = Tensor(scored.data.max(axis=0))
+    shifted = T.exp(T.scale(scored - m, 1.0 / epsilon_temp))
+    mean_exp = T.scale(shifted.sum(axis=0), 1.0 / scored.data.shape[0])
+    return m + T.scale(T.log(mean_exp), epsilon_temp)
 
 
 def penalized_sup_hard(per_sample_loss_fn, x: np.ndarray, dual_var: float,
@@ -104,16 +103,22 @@ def penalized_sup_hard(per_sample_loss_fn, x: np.ndarray, dual_var: float,
 
 
 # ----------------------------------------------------------------- pipelines
-def _image_pipeline(bundle, x_tensor: Tensor, realization) -> Tensor:
-    s = M.semantic_encode(bundle, x_tensor)
-    z = apply_realization(M.channel_encode(bundle, s), realization)
+def _encode_source(bundle, inputs: Tensor) -> Tensor:
+    """Source input (pixels, or flattened token embeddings) to the semantic vector."""
+    if bundle.task is M.TaskKind.TEXT:
+        return M.semantic_encode_from_embeddings(bundle, inputs)
+    return M.semantic_encode(bundle, inputs)
+
+
+def _pipeline(bundle, inputs: Tensor, realization) -> Tensor:
+    z = apply_realization(M.channel_encode(bundle, _encode_source(bundle, inputs)), realization)
     return M.semantic_decode(bundle, M.channel_decode(bundle, z))
 
 
-def _text_pipeline_from_emb(bundle, emb_flat: Tensor, realization) -> Tensor:
-    s = M.semantic_encode_from_embeddings(bundle, emb_flat)
-    z = apply_realization(M.channel_encode(bundle, s), realization)
-    return M.semantic_decode(bundle, M.channel_decode(bundle, z))
+def _tile(realization: ChannelRealization, k: int) -> ChannelRealization:
+    """The same per-row channel draw for k stacked copies of the batch."""
+    return ChannelRealization(h=np.tile(realization.h, (k, 1)),
+                              w=np.tile(realization.w, (k, 1)), sigma2=realization.sigma2)
 
 
 def clean_inner_loss(bundle, x, channel_cfg: ChannelConfig, rng) -> Tensor:
@@ -141,6 +146,43 @@ def clean_outer_loss(bundle, x, channel_cfg: ChannelConfig, rng) -> Tensor:
 
 
 # ----------------------------------------------------------- dual objectives
+def _penalized_objective(live_scored, frozen_loss, center: np.ndarray, dual_var: float,
+                         radius: float, rob: RobustnessConfig, spec: PerturbSpec,
+                         draw_rng: np.random.Generator) -> DualObjectiveValue:
+    """penalty + E_batch[sup_v loss(v) - dual_var * ||v - center||^2] for one phase.
+
+    `live_scored` maps (K, B, D) offsets from `center` to the (K, B) in-graph
+    scores and their costs, in one stacked pass over K copies of the batch.
+    The LSE path scores K Gaussian draws and smooths their maximum; the hard
+    path scores the single optimum that `penalized_sup_hard` finds on the
+    frozen `frozen_loss`.
+    """
+    spec = dataclasses.replace(spec, radius=radius)
+    if rob.use_lse:
+        draws = np.stack(gaussian_samples(center, spec, draw_rng))
+        scored, cost = live_scored(draws - center)
+        expectation = lse_combine(scored, rob.epsilon_temp).mean()
+        # envelope weight: softmax of scores at the optimum
+        soft = np.exp((scored.data - scored.data.max(axis=0)) / rob.epsilon_temp)
+        soft /= soft.sum(axis=0)
+        mean_cost = float(np.mean(np.sum(soft * cost, axis=0)))
+        worst = None
+    else:
+        if spec.method in (PerturbMethod.NONE, PerturbMethod.GAUSSIAN) or radius == 0:
+            worst = center.copy()
+        else:
+            worst = penalized_sup_hard(frozen_loss, center, dual_var, spec)
+        scored, cost = live_scored((worst - center)[None])
+        expectation = scored.mean()
+        mean_cost = float(np.mean(cost))
+
+    penalty = dual_var * radius**2
+    total = expectation + Tensor(penalty)
+    return DualObjectiveValue(total=total, penalty_term=penalty,
+                              expectation_term=float(expectation.data),
+                              mean_cost=mean_cost, worst_case=worst)
+
+
 def inner_dual_loss(bundle, x, channel_cfg: ChannelConfig, rob: RobustnessConfig,
                     spec: PerturbSpec, rng: np.random.Generator,
                     attack_rng: np.random.Generator | None = None) -> DualObjectiveValue:
@@ -151,62 +193,29 @@ def inner_dual_loss(bundle, x, channel_cfg: ChannelConfig, rob: RobustnessConfig
     """
     frozen = bundle.frozen()
     is_text = bundle.task is M.TaskKind.TEXT
-    if is_text:
-        center = M.embed_tokens(frozen, x).data
-        u0 = M.channel_encode(frozen, M.semantic_encode_from_embeddings(frozen, Tensor(center)))
-    else:
-        center = np.asarray(x, dtype=float)
-        u0 = M.channel_encode(frozen, M.semantic_encode(frozen, Tensor(center)))
+    center = M.embed_tokens(frozen, x).data if is_text else np.asarray(x, dtype=float)
+    u0 = M.channel_encode(frozen, _encode_source(frozen, Tensor(center)))
     _, realization = transmit(channel_cfg, u0, rng)
-
-    spec = dataclasses.replace(spec, radius=rob.rho)
     lam = rob.lam
 
     def frozen_loss(leaf: Tensor) -> Tensor:
+        return M.per_sample_reconstruction_loss(frozen, x, _pipeline(frozen, leaf, realization))
+
+    def live_scored(offsets: np.ndarray):
+        k, b = offsets.shape[:2]
+        cost = np.sum(offsets.reshape(k, b, -1) ** 2, axis=2)
         if is_text:
-            out = _text_pipeline_from_emb(frozen, leaf, realization)
+            # the live embedding lookup stays in the graph, so the table gets gradient
+            emb = M.embed_tokens(bundle, x)
+            inputs = (emb.reshape(1, *emb.shape) + Tensor(offsets)).reshape(k * b, emb.shape[1])
         else:
-            out = _image_pipeline(frozen, leaf, realization)
-        return M.per_sample_reconstruction_loss(frozen, x, out)
+            inputs = Tensor((center + offsets).reshape(k * b, -1))
+        out = _pipeline(bundle, inputs, _tile(realization, k))
+        loss = M.per_sample_reconstruction_loss(bundle, np.tile(x, (k, 1)), out)
+        return loss.reshape(k, b) - T.scale(Tensor(cost), lam), cost
 
-    def live_scored(offsets: np.ndarray) -> Tensor:
-        cost = np.sum(offsets.reshape(len(offsets), -1) ** 2, axis=1)
-        if is_text:
-            emb = M.embed_tokens(bundle, x) + Tensor(offsets)
-            out = _text_pipeline_from_emb(bundle, emb, realization)
-        else:
-            out = _image_pipeline(bundle, Tensor(center + offsets), realization)
-        loss = M.per_sample_reconstruction_loss(bundle, x, out)
-        return loss - T.scale(Tensor(cost), lam), cost
-
-    if rob.use_lse:
-        draws = gaussian_samples(center, spec, attack_rng or rng)
-        scored_list, costs, weights = [], [], []
-        for draw in draws:
-            scored, cost = live_scored(draw - center)
-            scored_list.append(scored)
-            costs.append(cost)
-        expectation = lse_combine(scored_list, rob.epsilon_temp).mean()
-        # envelope weight: softmax of scores at the optimum
-        stacked = np.stack([s.data for s in scored_list])
-        soft = np.exp((stacked - stacked.max(axis=0)) / rob.epsilon_temp)
-        soft /= soft.sum(axis=0)
-        mean_cost = float(np.mean(np.sum(soft * np.stack(costs), axis=0)))
-        worst = None
-    else:
-        if spec.method in (PerturbMethod.NONE, PerturbMethod.GAUSSIAN) or rob.rho == 0:
-            worst = center.copy()
-        else:
-            worst = penalized_sup_hard(frozen_loss, center, lam, spec)
-        scored, cost = live_scored(worst - center)
-        expectation = scored.mean()
-        mean_cost = float(np.mean(cost))
-
-    penalty = lam * rob.rho**2
-    total = expectation + Tensor(penalty)
-    return DualObjectiveValue(total=total, penalty_term=penalty,
-                              expectation_term=float(expectation.data),
-                              mean_cost=mean_cost, worst_case=worst)
+    return _penalized_objective(live_scored, frozen_loss, center, lam, rob.rho, rob, spec,
+                                attack_rng or rng)
 
 
 def outer_dual_loss(bundle, x, channel_cfg: ChannelConfig, rob: RobustnessConfig,
@@ -215,53 +224,27 @@ def outer_dual_loss(bundle, x, channel_cfg: ChannelConfig, rob: RobustnessConfig
     """Signal-side robust objective; gradients feed the channel codec.
 
     The semantic vector is held fixed; the received signal is perturbed inside
-    a ball of radius mu.  The optimal offset re-enters the graph on top of the
+    a ball of radius mu.  The offsets re-enter the graph on top of the
     transmitted signal so the channel encoder keeps its gradient path.
     """
     frozen = bundle.frozen()
     s0 = M.semantic_encode(frozen, x).data
     u = M.channel_encode(bundle, Tensor(s0))
-    z, realization = transmit(channel_cfg, u, rng)
-    z0 = z.data
-    spec = dataclasses.replace(spec, radius=rob.mu)
+    z, _ = transmit(channel_cfg, u, rng)
     gamma = rob.gamma
 
     def frozen_loss(leaf: Tensor) -> Tensor:
         return M.per_sample_channel_loss(Tensor(s0), M.channel_decode(frozen, leaf))
 
     def live_scored(offsets: np.ndarray):
-        cost = np.sum(offsets**2, axis=1)
-        s_hat = M.channel_decode(bundle, z + Tensor(offsets))
-        loss = M.per_sample_channel_loss(Tensor(s0), s_hat)
-        return loss - T.scale(Tensor(cost), gamma), cost
+        k, b, d = offsets.shape
+        cost = np.sum(offsets**2, axis=2)
+        s_hat = M.channel_decode(bundle, (z.reshape(1, b, d) + Tensor(offsets)).reshape(k * b, d))
+        loss = M.per_sample_channel_loss(Tensor(np.tile(s0, (k, 1))), s_hat)
+        return loss.reshape(k, b) - T.scale(Tensor(cost), gamma), cost
 
-    if rob.use_lse:
-        draws = gaussian_samples(z0, spec, attack_rng or rng)
-        scored_list, costs = [], []
-        for draw in draws:
-            scored, cost = live_scored(draw - z0)
-            scored_list.append(scored)
-            costs.append(cost)
-        expectation = lse_combine(scored_list, rob.epsilon_temp).mean()
-        stacked = np.stack([s.data for s in scored_list])
-        soft = np.exp((stacked - stacked.max(axis=0)) / rob.epsilon_temp)
-        soft /= soft.sum(axis=0)
-        mean_cost = float(np.mean(np.sum(soft * np.stack(costs), axis=0)))
-        worst = None
-    else:
-        if spec.method in (PerturbMethod.NONE, PerturbMethod.GAUSSIAN) or rob.mu == 0:
-            worst = z0.copy()
-        else:
-            worst = penalized_sup_hard(frozen_loss, z0, gamma, spec)
-        scored, cost = live_scored(worst - z0)
-        expectation = scored.mean()
-        mean_cost = float(np.mean(cost))
-
-    penalty = gamma * rob.mu**2
-    total = expectation + Tensor(penalty)
-    return DualObjectiveValue(total=total, penalty_term=penalty,
-                              expectation_term=float(expectation.data),
-                              mean_cost=mean_cost, worst_case=worst)
+    return _penalized_objective(live_scored, frozen_loss, z.data, gamma, rob.mu, rob, spec,
+                                attack_rng or rng)
 
 
 def update_duals(rob: RobustnessConfig, dual_lr: float,

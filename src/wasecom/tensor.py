@@ -42,8 +42,10 @@ class Tensor:
 
     def _accumulate(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # first write: own a copy, since g may be a view of another node's grad
+            self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
 
     # ------------------------------------------------------------- factories
     @classmethod
@@ -150,7 +152,10 @@ def _topological_order(root: Tensor):
 
 
 def _needs_graph(*tensors) -> bool:
-    return any(t.requires_grad or t._parents for t in tensors)
+    for t in tensors:
+        if t.requires_grad or t._parents:
+            return True
+    return False
 
 
 def _reduce_grad_to(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -164,17 +169,17 @@ def _reduce_grad_to(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _broadcast_check(op: str, a: Tensor, b: Tensor):
-    try:
-        return np.broadcast_shapes(a.data.shape, b.data.shape)
-    except ValueError:
-        raise ValueError(f"{op}: incompatible shapes {a.data.shape} and {b.data.shape}") from None
+def _incompatible(op: str, a: Tensor, b: Tensor) -> ValueError:
+    return ValueError(f"{op}: incompatible shapes {a.data.shape} and {b.data.shape}")
 
 
 # ---------------------------------------------------------------------- ops
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _broadcast_check("add", a, b)
-    out = Tensor(a.data + b.data, _parents=(a, b) if _needs_graph(a, b) else ())
+    try:
+        data = a.data + b.data
+    except ValueError:
+        raise _incompatible("add", a, b) from None
+    out = Tensor(data, _parents=(a, b) if _needs_graph(a, b) else ())
 
     def _bw():
         if a.requires_grad or a._parents:
@@ -188,8 +193,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _broadcast_check("sub", a, b)
-    out = Tensor(a.data - b.data, _parents=(a, b) if _needs_graph(a, b) else ())
+    try:
+        data = a.data - b.data
+    except ValueError:
+        raise _incompatible("sub", a, b) from None
+    out = Tensor(data, _parents=(a, b) if _needs_graph(a, b) else ())
 
     def _bw():
         if a.requires_grad or a._parents:
@@ -203,8 +211,11 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _broadcast_check("mul", a, b)
-    out = Tensor(a.data * b.data, _parents=(a, b) if _needs_graph(a, b) else ())
+    try:
+        data = a.data * b.data
+    except ValueError:
+        raise _incompatible("mul", a, b) from None
+    out = Tensor(data, _parents=(a, b) if _needs_graph(a, b) else ())
 
     def _bw():
         if a.requires_grad or a._parents:
@@ -231,7 +242,7 @@ def scale(a: Tensor, k: float) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ValueError(f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}")
+        raise _incompatible("matmul", a, b)
     out = Tensor(a.data @ b.data, _parents=(a, b) if _needs_graph(a, b) else ())
 
     def _bw():
@@ -239,6 +250,47 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             a._accumulate(out.grad @ b.data.T)
         if b.requires_grad or b._parents:
             b._accumulate(a.data.T @ out.grad)
+
+    if out._parents:
+        out._backward = _bw
+    return out
+
+
+def dense(x: Tensor, w: Tensor, b: Tensor, activation: str | None = None) -> Tensor:
+    """activation(x @ w + b) as one node: "tanh", "relu" or None (linear).
+
+    The float operations are those of the matmul -> add -> activation chain,
+    in the same order, so values and gradients match the chain bit for bit.
+    """
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+        raise _incompatible("matmul", x, w)
+    if activation not in (None, "tanh", "relu"):
+        raise ValueError(f"dense: unknown activation {activation!r}")
+    pre = x.data @ w.data
+    try:
+        pre = pre + b.data
+    except ValueError:
+        raise ValueError(f"add: incompatible shapes {pre.shape} and {b.data.shape}") from None
+    if activation == "tanh":
+        y = np.tanh(pre)
+    elif activation == "relu":
+        y = np.maximum(pre, 0.0)
+    else:
+        y = pre
+    out = Tensor(y, _parents=(x, w, b) if _needs_graph(x, w, b) else ())
+
+    def _bw():
+        g = out.grad
+        if activation == "tanh":
+            g = g * (1.0 - y * y)
+        elif activation == "relu":
+            g = g * (pre > 0)
+        if b.requires_grad or b._parents:
+            b._accumulate(_reduce_grad_to(g, b.data.shape))
+        if x.requires_grad or x._parents:
+            x._accumulate(g @ w.data.T)
+        if w.requires_grad or w._parents:
+            w._accumulate(x.data.T @ g)
 
     if out._parents:
         out._backward = _bw

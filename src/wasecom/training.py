@@ -92,7 +92,7 @@ class StepRecord:
     expectation: float
     lam: float
     gamma: float
-    wall_ms: float
+    wall_ms: float      # forward, backward and optimizer step
 
     def csv_row(self) -> str:
         return (f"{self.step},{self.phase},{self.total!r},{self.penalty!r},"
@@ -182,12 +182,12 @@ def train_wasecom(cfg: TrainConfig, data: Dataset, dims: ModelDims | None = None
                 val = outer_dual_loss(bundle, x, cfg.channel, rob, cfg.perturb_outer,
                                       rng=_stream(cfg.seed, TAG_OUTER_CHANNEL, step, k),
                                       attack_rng=_stream(cfg.seed, TAG_OUTER_ATTACK, step, k))
-                _guard(log, StepRecord(step, "outer", float(val.total.data),
-                                       val.penalty_term, val.expectation_term,
-                                       rob.lam, rob.gamma,
-                                       (time.perf_counter() - t0) * 1e3))
+                rec = StepRecord(step, "outer", float(val.total.data), val.penalty_term,
+                                 val.expectation_term, rob.lam, rob.gamma, 0.0)
+                _guard(log, rec)
                 val.total.backward()
                 outer_opt.step()
+                rec.wall_ms = (time.perf_counter() - t0) * 1e3
                 outer_cost = val.mean_cost
             for k in range(cfg.sub_steps):
                 t0 = time.perf_counter()
@@ -195,12 +195,12 @@ def train_wasecom(cfg: TrainConfig, data: Dataset, dims: ModelDims | None = None
                 val = inner_dual_loss(bundle, x, cfg.channel, rob, cfg.perturb_inner,
                                       rng=_stream(cfg.seed, TAG_INNER_CHANNEL, step, k),
                                       attack_rng=_stream(cfg.seed, TAG_INNER_ATTACK, step, k))
-                _guard(log, StepRecord(step, "inner", float(val.total.data),
-                                       val.penalty_term, val.expectation_term,
-                                       rob.lam, rob.gamma,
-                                       (time.perf_counter() - t0) * 1e3))
+                rec = StepRecord(step, "inner", float(val.total.data), val.penalty_term,
+                                 val.expectation_term, rob.lam, rob.gamma, 0.0)
+                _guard(log, rec)
                 val.total.backward()
                 inner_opt.step()
+                rec.wall_ms = (time.perf_counter() - t0) * 1e3
                 inner_cost = val.mean_cost
             rob = update_duals(rob, cfg.dual_lr, inner_cost, outer_cost)
             step += 1
@@ -229,22 +229,22 @@ def train_erm(cfg: TrainConfig, data: Dataset, dims: ModelDims | None = None,
                 total = clean_outer_loss(bundle, x, cfg.channel,
                                          rng=_stream(cfg.seed, TAG_OUTER_CHANNEL, step, k))
                 value = float(total.data)
-                _guard(log, StepRecord(step, "outer", value, 0.0, value,
-                                       rob.lam, rob.gamma,
-                                       (time.perf_counter() - t0) * 1e3))
+                rec = StepRecord(step, "outer", value, 0.0, value, rob.lam, rob.gamma, 0.0)
+                _guard(log, rec)
                 total.backward()
                 outer_opt.step()
+                rec.wall_ms = (time.perf_counter() - t0) * 1e3
             for k in range(cfg.sub_steps):
                 t0 = time.perf_counter()
                 inner_opt.zero_grad()
                 total = clean_inner_loss(bundle, x, cfg.channel,
                                          rng=_stream(cfg.seed, TAG_INNER_CHANNEL, step, k))
                 value = float(total.data)
-                _guard(log, StepRecord(step, "inner", value, 0.0, value,
-                                       rob.lam, rob.gamma,
-                                       (time.perf_counter() - t0) * 1e3))
+                rec = StepRecord(step, "inner", value, 0.0, value, rob.lam, rob.gamma, 0.0)
+                _guard(log, rec)
                 total.backward()
                 inner_opt.step()
+                rec.wall_ms = (time.perf_counter() - t0) * 1e3
             step += 1
             if on_step:
                 on_step(step, bundle)

@@ -135,6 +135,40 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         assert loaded.param_bytes() == b.param_bytes()
 
 
+def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "ckpt.bin"
+    M.save_checkpoint(image_bundle(seed=14), path)
+    before = path.read_bytes()
+
+    class DiskFull:
+        """A file that takes half of the first write, then fails."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(bytes(data[: len(data) // 2]))
+            self.fh.flush()
+            raise OSError(28, "No space left on device")
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+    monkeypatch.setattr(M, "open", lambda p, mode="r": DiskFull(open(p, mode)), raising=False)
+    with pytest.raises(OSError, match="No space"):
+        M.save_checkpoint(image_bundle(seed=15), path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert M.load_checkpoint(path).param_bytes() == image_bundle(seed=14).param_bytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
+
+
 def test_checkpoint_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)

@@ -3,8 +3,9 @@ import pytest
 
 from wasecom import models as M
 from wasecom import objectives as O
-from wasecom.channel import ChannelConfig
-from wasecom.perturb import PerturbSpec
+from wasecom import tensor as T
+from wasecom.channel import ChannelConfig, apply_realization, transmit
+from wasecom.perturb import PerturbSpec, gaussian_samples
 from wasecom.tensor import Tensor
 
 
@@ -57,7 +58,7 @@ def test_lse_single_value_is_exact_identity():
 def test_lse_combine_matches_scalar_version():
     rng = np.random.default_rng(1)
     scored = [Tensor(rng.normal(size=4)) for _ in range(5)]
-    combined = O.lse_combine(scored, 0.1)
+    combined = O.lse_combine(Tensor(np.stack([s.data for s in scored])), 0.1)
     stacked = np.stack([s.data for s in scored])
     for i in range(4):
         assert abs(combined.data[i] - O.lse_smooth(stacked[:, i], 0.1)) < 1e-12
@@ -203,3 +204,77 @@ def test_text_inner_dual_attacks_embeddings():
     assert np.all(moved <= 0.6 + 1e-9) and np.any(moved > 1e-6)
     val.total.backward()
     assert np.any(bundle.embed.grad != 0), "embedding table must receive gradient"
+
+
+def _per_draw_lse_reference(bundle, x, cfg, rob, spec, rng, attack_rng, phase):
+    """The LSE objective built draw by draw: one full graph per Gaussian draw,
+    combined by a running sum of exponentials.  Returns (total, expectation,
+    mean_cost)."""
+    frozen = bundle.frozen()
+    text = bundle.task is M.TaskKind.TEXT
+    if phase == "inner":
+        center = M.embed_tokens(frozen, x).data if text else np.asarray(x, dtype=float)
+        encode = M.semantic_encode_from_embeddings if text else M.semantic_encode
+        _, real = transmit(cfg, M.channel_encode(frozen, encode(frozen, Tensor(center))), rng)
+        radius, dual = rob.rho, rob.lam
+
+        def scored(offset):
+            inputs = M.embed_tokens(bundle, x) + Tensor(offset) if text else Tensor(center + offset)
+            z = apply_realization(M.channel_encode(bundle, encode(bundle, inputs)), real)
+            out = M.semantic_decode(bundle, M.channel_decode(bundle, z))
+            return M.per_sample_reconstruction_loss(bundle, x, out), np.sum(offset**2, axis=1)
+    else:
+        s0 = M.semantic_encode(frozen, x).data
+        z, _ = transmit(cfg, M.channel_encode(bundle, Tensor(s0)), rng)
+        center, radius, dual = z.data, rob.mu, rob.gamma
+
+        def scored(offset):
+            s_hat = M.channel_decode(bundle, z + Tensor(offset))
+            return M.per_sample_channel_loss(Tensor(s0), s_hat), np.sum(offset**2, axis=1)
+
+    draws = gaussian_samples(center, PerturbSpec(method="gaussian", radius=radius,
+                                                 sample_count=spec.sample_count), attack_rng)
+    scores, costs = [], []
+    for draw in draws:
+        loss, cost = scored(draw - center)
+        scores.append(loss - T.scale(Tensor(cost), dual))
+        costs.append(cost)
+    m = Tensor(np.maximum.reduce([sc.data for sc in scores]))
+    acc = T.exp(T.scale(scores[0] - m, 1.0 / rob.epsilon_temp))
+    for sc in scores[1:]:
+        acc = acc + T.exp(T.scale(sc - m, 1.0 / rob.epsilon_temp))
+    expectation = (m + T.scale(T.log(T.scale(acc, 1.0 / len(scores))), rob.epsilon_temp)).mean()
+    stacked = np.stack([sc.data for sc in scores])
+    soft = np.exp((stacked - stacked.max(axis=0)) / rob.epsilon_temp)
+    soft /= soft.sum(axis=0)
+    mean_cost = float(np.mean(np.sum(soft * np.stack(costs), axis=0)))
+    return expectation + Tensor(dual * radius**2), float(expectation.data), mean_cost
+
+
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("task,phase", [("image", "inner"), ("text", "inner"),
+                                        ("image", "outer"), ("text", "outer")])
+def test_stacked_lse_matches_per_draw_loop(task, phase, k):
+    make, seed = (image_bundle, 30) if task == "image" else (text_bundle, 31)
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(size=(5, 16)) if task == "image" else rng.integers(0, 16, size=(5, 6))
+    cfg = ChannelConfig(snr_db=9.0)
+    rob = O.RobustnessConfig(rho=0.4, mu=0.3, lam=0.6, gamma=0.9, use_lse=True,
+                             epsilon_temp=0.2)
+    spec = PerturbSpec(method="gaussian", sample_count=k)
+    stacked_bundle, loop_bundle = make(seed), make(seed)
+    objective = O.inner_dual_loss if phase == "inner" else O.outer_dual_loss
+    val = objective(stacked_bundle, x, cfg, rob, spec, np.random.default_rng(40),
+                    attack_rng=np.random.default_rng(41))
+    total, expectation, mean_cost = _per_draw_lse_reference(
+        loop_bundle, x, cfg, rob, spec, np.random.default_rng(40), np.random.default_rng(41), phase)
+    assert abs(float(val.total.data) - float(total.data)) <= 1e-12
+    assert abs(val.expectation_term - expectation) <= 1e-12
+    assert abs(val.mean_cost - mean_cost) <= 1e-12
+    val.total.backward()
+    total.backward()
+    moved = 0
+    for (name, got), (_, want) in zip(stacked_bundle.named_params(), loop_bundle.named_params()):
+        assert np.allclose(got.grad, want.grad, rtol=1e-10, atol=1e-15), name
+        moved += np.any(want.grad != 0)
+    assert moved > 0

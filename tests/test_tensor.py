@@ -81,6 +81,64 @@ def test_shape_mismatch_names_op_and_shapes():
         T.matmul(a, Tensor(np.zeros((2, 3))))
 
 
+@pytest.mark.parametrize("op", ["sub", "mul"])
+def test_elementwise_shape_mismatch_names_op_and_shapes(op):
+    with pytest.raises(ValueError, match=rf"{op}.*\(2, 3\).*\(4, 5\)"):
+        getattr(T, op)(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
+
+
+def _dense_and_chain(activation, seed=0):
+    """Forward values and all three gradients of dense and of the op chain."""
+    rng = np.random.default_rng(seed)
+    x0, w0, b0 = rng.normal(size=(5, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)
+    upstream = rng.normal(size=(5, 3))
+    results = []
+    for fused in (True, False):
+        x, w, b = (Tensor(a.copy(), requires_grad=True) for a in (x0, w0, b0))
+        if fused:
+            y = T.dense(x, w, b, activation)
+        else:
+            y = T.matmul(x, w) + b
+            y = {"tanh": T.tanh, "relu": T.relu, None: lambda t: t}[activation](y)
+        (y * Tensor(upstream)).sum().backward()
+        results.append((y.data, x.grad, w.grad, b.grad))
+    return results
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu", None])
+def test_dense_is_bitwise_equal_to_op_chain(activation):
+    fused, chain = _dense_and_chain(activation)
+    for got, want in zip(fused, chain):
+        assert np.array_equal(got, want)
+
+
+def test_dense_shape_mismatch_names_matmul():
+    x = Tensor(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match=r"matmul.*incompatible"):
+        T.dense(x, Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
+    with pytest.raises(ValueError, match=r"add.*incompatible"):
+        T.dense(x, Tensor(np.zeros((3, 4))), Tensor(np.zeros(5)))
+    with pytest.raises(ValueError, match="activation"):
+        T.dense(x, Tensor(np.zeros((3, 4))), Tensor(np.zeros(4)), "sigmoid")
+
+
+def test_dense_without_grad_builds_no_graph():
+    out = T.dense(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))), Tensor(np.zeros(2)), "tanh")
+    assert out._parents == () and out._backward is None
+
+
+def test_first_gradient_write_does_not_alias_upstream_grad():
+    # add hands its own grad buffer downstream; the first write must copy it,
+    # or the second branch's += would also change the upstream node's grad
+    x = Tensor(np.ones(3), requires_grad=True)
+    h = x + Tensor(np.ones(3))
+    y = h + h
+    y.sum().backward()
+    assert np.array_equal(y.grad, np.ones(3))
+    assert np.array_equal(h.grad, 2 * np.ones(3))
+    assert np.array_equal(x.grad, 2 * np.ones(3))
+
+
 def test_bias_broadcast_gradient_sums_over_batch():
     x = Tensor(np.ones((4, 3)), requires_grad=True)
     b = Tensor(np.zeros(3), requires_grad=True)

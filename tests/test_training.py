@@ -1,4 +1,5 @@
 import hashlib
+import time
 
 import numpy as np
 import pytest
@@ -63,6 +64,20 @@ def test_log_has_one_record_per_optimizer_step():
     rows = log.rows()
     assert rows[0] == TR.TRAIN_LOG_HEADER
     assert len(rows) == len(log.records) + 1
+
+
+@pytest.mark.parametrize("mode", [Mode.WASECOM, Mode.ERM])
+def test_wall_ms_covers_backward_and_optimizer_step(monkeypatch, mode):
+    # a slow optimizer step must show in every phase's logged time
+    original = TR.Adam.step
+
+    def slow_step(self):
+        time.sleep(0.02)
+        original(self)
+
+    monkeypatch.setattr(TR.Adam, "step", slow_step)
+    _, log = train(_cfg(epochs=1, batch_size=8, mode=mode), _image_data(n=16))
+    assert log.records and all(r.wall_ms >= 20.0 for r in log.records)
 
 
 def test_outer_phase_leaves_semantic_params_alone(monkeypatch):
