@@ -75,7 +75,7 @@ _SECTION_KEYS = {
     "robustness": {"rho", "mu", "lambda", "gamma", "epsilon_temp", "use_lse",
                    "lambda_learnable"},
     "perturb": {"method", "radius", "epsilon_inf", "step_size", "steps",
-                "sample_count", "sample_fraction", "fraction_mode"},
+                "sample_count", "sample_fraction"},
     "eval": {"snr_db", "attack_eps", "attack_fraction", "batch_size"},
 }
 
@@ -180,7 +180,7 @@ def _perturb_dict(spec: PerturbSpec) -> dict:
     return {"method": spec.method.value, "radius": spec.radius,
             "epsilon_inf": spec.epsilon_inf, "step_size": spec.step_size,
             "steps": spec.steps, "sample_count": spec.sample_count,
-            "sample_fraction": spec.sample_fraction, "fraction_mode": spec.fraction_mode}
+            "sample_fraction": spec.sample_fraction}
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:

@@ -46,8 +46,14 @@ def ssim(x: np.ndarray, y: np.ndarray, max_val: float = 1.0, window: int = 8) ->
 
     Per window: ((2 ux uy + c1)(2 cov + c2)) / ((ux^2 + uy^2 + c1)(vx + vy + c2))
     with c1 = (0.01 max)^2, c2 = (0.03 max)^2 and population statistics.
-    Accepts a single (H, W) image or a batch (N, H, W).
+    Accepts a single (H, W) image or a batch (N, H, W); a batch scores the
+    mean of its per-image values.
     """
+    return float(_ssim_per_image(x, y, max_val, window).mean())
+
+
+def _ssim_per_image(x, y, max_val: float, window: int) -> np.ndarray:
+    """(N,) mean SSIM of each image; each entry equals that image's single call bit for bit."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError(f"ssim: shape mismatch {x.shape} vs {y.shape}")
@@ -70,43 +76,68 @@ def ssim(x: np.ndarray, y: np.ndarray, max_val: float = 1.0, window: int = 8) ->
             num = (2 * ux * uy + c1) * (2 * cov + c2)
             den = (ux**2 + uy**2 + c1) * (vx + vy + c2)
             vals.append(num / den)
-    return float(np.mean(vals))
-
-
-def _ngram_counts(tokens, n):
-    counts = {}
-    for i in range(len(tokens) - n + 1):
-        g = tuple(tokens[i:i + n])
-        counts[g] = counts.get(g, 0) + 1
-    return counts
+    # one contiguous row of window values per image, reduced in the same
+    # (pairwise) order as a single image's call
+    return np.stack(vals, axis=1).mean(axis=1)
 
 
 def bleu(candidate, references, max_n: int = 4, smooth: float = 1e-9) -> float:
     """Geometric mean of clipped n-gram precisions times the brevity penalty.
 
-    Zero clipped counts are replaced by `smooth`; n-gram orders the candidate
-    is too short to form are skipped.
+    Single sentence: `candidate` is a token sequence and `references` a list
+    of token sequences.  Batch: `candidate` is an (N, L) integer array and
+    `references` an (N, L) array with one reference per row; the result is
+    the mean sentence BLEU of the rows.  Zero clipped counts are replaced by
+    `smooth`; n-gram orders the candidate is too short to form are skipped.
     """
+    if np.ndim(candidate) == 2:
+        cand, refs = np.asarray(candidate), np.asarray(references)
+        if refs.shape != cand.shape:
+            raise ValueError(f"bleu: shape mismatch {cand.shape} vs {refs.shape}")
+        if cand.shape[1] == 0:
+            raise ValueError("bleu: empty candidate or reference")
+        return float(_sentence_bleu(cand, refs[:, None, :], cand.shape[1], max_n, smooth).mean())
     candidate = list(candidate)
     refs = [list(r) for r in references]
     if not candidate or not refs or any(not r for r in refs):
         raise ValueError("bleu: empty candidate or reference")
     c = len(candidate)
     r = min((len(ref) for ref in refs), key=lambda L: (abs(L - c), L))
+    ids: dict = {}
+    cand = np.array([[ids.setdefault(t, len(ids)) for t in candidate]])
+    padded = np.full((1, len(refs), max(map(len, refs))), -1)   # -1 matches no token id
+    for k, ref in enumerate(refs):
+        padded[0, k, :len(ref)] = [ids.setdefault(t, len(ids)) for t in ref]
+    return float(_sentence_bleu(cand, padded, r, max_n, smooth)[0])
+
+
+def _sentence_bleu(cand: np.ndarray, refs: np.ndarray, r: int, max_n: int,
+                   smooth: float) -> np.ndarray:
+    """(N,) sentence BLEU of candidate rows (N, c) against references (N, R, Lr).
+
+    `r` is the effective reference length.  Each distinct candidate n-gram is
+    counted once, at its first occurrence, and clipped by its largest count in
+    any one reference.
+    """
+    c = cand.shape[1]
+    self_eq = cand[:, :, None] == cand[:, None, :]              # (N, c, c) token matches
+    ref_eq = cand[:, :, None, None] == refs[:, None, :, :]      # (N, c, R, Lr)
+    same, in_ref = self_eq, ref_eq
     log_precisions = []
-    for n in range(1, max_n + 1):
-        cand_counts = _ngram_counts(candidate, n)
-        total = sum(cand_counts.values())
-        if total == 0:
-            break
-        clipped = 0
-        for g, cnt in cand_counts.items():
-            best_ref = max(_ngram_counts(ref, n).get(g, 0) for ref in refs)
-            clipped += min(cnt, best_ref)
-        log_precisions.append(np.log(clipped if clipped > 0 else smooth) - np.log(total))
-    geo = np.exp(np.mean(log_precisions))
+    for n in range(1, min(max_n, c) + 1):
+        if n > 1:
+            # two n-grams match where their (n-1)-gram prefixes and last tokens do
+            same = same[:, :-1, :-1] & self_eq[:, n - 1:, n - 1:]
+            in_ref = in_ref[:, :-1, :, :-1] & ref_eq[:, n - 1:, :, n - 1:]
+        count = same.sum(axis=2)
+        first = ~np.tril(same, k=-1).any(axis=2)
+        best_ref = in_ref.sum(axis=3).max(axis=2)
+        clipped = np.where(first, np.minimum(count, best_ref), 0).sum(axis=1)
+        total = c - n + 1
+        log_precisions.append(np.log(np.where(clipped > 0, clipped, smooth)) - np.log(total))
+    geo = np.exp(np.mean(np.stack(log_precisions, axis=1), axis=1))
     brevity = 1.0 if c > r else np.exp(1.0 - r / c)
-    return float(brevity * geo)
+    return brevity * geo
 
 
 @dataclass

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
+from .channel import ChannelRealization, apply_realization
 from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"WSCBUNDL"
@@ -216,6 +217,25 @@ def semantic_decode(bundle: ModelBundle, s_hat: Tensor) -> Tensor:
     return bundle.sem_dec(s_hat)
 
 
+def encode_signal(bundle: ModelBundle, inputs: Tensor) -> Tensor:
+    """Source input (pixels, or flattened token embeddings) to the transmit signal."""
+    if bundle.task is TaskKind.TEXT:
+        s = semantic_encode_from_embeddings(bundle, inputs)
+    else:
+        s = semantic_encode(bundle, inputs)
+    return channel_encode(bundle, s)
+
+
+def decode_signal(bundle: ModelBundle, u: Tensor, realization: ChannelRealization) -> Tensor:
+    """Transmit signal through a drawn channel realization to the reconstruction."""
+    return semantic_decode(bundle, channel_decode(bundle, apply_realization(u, realization)))
+
+
+def pipeline(bundle: ModelBundle, inputs: Tensor, realization: ChannelRealization) -> Tensor:
+    """The whole encode -> channel -> decode chain on a fixed channel realization."""
+    return decode_signal(bundle, encode_signal(bundle, inputs), realization)
+
+
 def greedy_decode(logits: np.ndarray, batch: int, seq_len: int) -> np.ndarray:
     return logits.argmax(axis=-1).reshape(batch, seq_len)
 
@@ -238,35 +258,6 @@ def reconstruction_loss(bundle: ModelBundle, reference, output: Tensor) -> Tenso
 
 def per_sample_channel_loss(s_ref: Tensor, s_hat: Tensor) -> Tensor:
     return (s_hat - s_ref).square().mean(axis=1)
-
-
-def estimate_lipschitz(fn, samples: np.ndarray, n_pairs=200, rng=None) -> float:
-    """Empirical Lipschitz constant of a scalar map by sampling point pairs."""
-    rng = rng or np.random.default_rng(0)
-    n = len(samples)
-    if n < 2:
-        raise ValueError("need at least two samples")
-    best = 0.0
-    for _ in range(n_pairs):
-        i, j = rng.integers(0, n, size=2)
-        if i == j:
-            continue
-        dx = float(np.linalg.norm(samples[i] - samples[j]))
-        if dx < 1e-12:
-            continue
-        best = max(best, abs(fn(samples[i]) - fn(samples[j])) / dx)
-    return best
-
-
-# ----------------------------------------------------------------- identity
-def make_identity_bundle(dim: int) -> ModelBundle:
-    """Square single-layer linear stack with identity weights; for pipeline tests."""
-    dims = ModelDims(input_dim=dim, semantic_dim=dim, signal_dim=dim, hidden_dim=dim)
-    bundle = ModelBundle(TaskKind.IMAGE, dims, activation="linear", normalize_signal=False, init="zeros")
-    for name in ("sem_enc", "sem_dec", "chan_enc", "chan_dec"):
-        setattr(bundle, name, Mlp([dim, dim], activation="linear", init="zeros"))
-        getattr(bundle, name).weights[0].data[...] = np.eye(dim)
-    return bundle
 
 
 # --------------------------------------------------------------- checkpoint

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import models as M
 from . import tensor as T
-from .channel import ChannelConfig, ChannelRealization, apply_realization, transmit
+from .channel import ChannelConfig, ChannelRealization, transmit
 from .perturb import PerturbMethod, PerturbSpec, fgsm, gaussian_samples, pgd
 from .tensor import Tensor
 
@@ -103,18 +103,6 @@ def penalized_sup_hard(per_sample_loss_fn, x: np.ndarray, dual_var: float,
 
 
 # ----------------------------------------------------------------- pipelines
-def _encode_source(bundle, inputs: Tensor) -> Tensor:
-    """Source input (pixels, or flattened token embeddings) to the semantic vector."""
-    if bundle.task is M.TaskKind.TEXT:
-        return M.semantic_encode_from_embeddings(bundle, inputs)
-    return M.semantic_encode(bundle, inputs)
-
-
-def _pipeline(bundle, inputs: Tensor, realization) -> Tensor:
-    z = apply_realization(M.channel_encode(bundle, _encode_source(bundle, inputs)), realization)
-    return M.semantic_decode(bundle, M.channel_decode(bundle, z))
-
-
 def _tile(realization: ChannelRealization, k: int) -> ChannelRealization:
     """The same per-row channel draw for k stacked copies of the batch."""
     return ChannelRealization(h=np.tile(realization.h, (k, 1)),
@@ -194,12 +182,12 @@ def inner_dual_loss(bundle, x, channel_cfg: ChannelConfig, rob: RobustnessConfig
     frozen = bundle.frozen()
     is_text = bundle.task is M.TaskKind.TEXT
     center = M.embed_tokens(frozen, x).data if is_text else np.asarray(x, dtype=float)
-    u0 = M.channel_encode(frozen, _encode_source(frozen, Tensor(center)))
+    u0 = M.encode_signal(frozen, Tensor(center))
     _, realization = transmit(channel_cfg, u0, rng)
     lam = rob.lam
 
     def frozen_loss(leaf: Tensor) -> Tensor:
-        return M.per_sample_reconstruction_loss(frozen, x, _pipeline(frozen, leaf, realization))
+        return M.per_sample_reconstruction_loss(frozen, x, M.pipeline(frozen, leaf, realization))
 
     def live_scored(offsets: np.ndarray):
         k, b = offsets.shape[:2]
@@ -210,7 +198,7 @@ def inner_dual_loss(bundle, x, channel_cfg: ChannelConfig, rob: RobustnessConfig
             inputs = (emb.reshape(1, *emb.shape) + Tensor(offsets)).reshape(k * b, emb.shape[1])
         else:
             inputs = Tensor((center + offsets).reshape(k * b, -1))
-        out = _pipeline(bundle, inputs, _tile(realization, k))
+        out = M.pipeline(bundle, inputs, _tile(realization, k))
         loss = M.per_sample_reconstruction_loss(bundle, np.tile(x, (k, 1)), out)
         return loss.reshape(k, b) - T.scale(Tensor(cost), lam), cost
 

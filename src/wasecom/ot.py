@@ -260,7 +260,7 @@ def sample_plans_in_ball(P: DiscreteDistribution, grid: np.ndarray, radius: floa
             i = int(rng.integers(m))
             j = int(rng.integers(g))
             sources = np.flatnonzero(plan[i] > 1e-12)
-            src = int(rng.choice(sources))
+            src = int(sources[rng.integers(len(sources))])
             if src == j:
                 continue
             extra = C[i, j] - C[i, src]

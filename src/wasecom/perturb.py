@@ -32,7 +32,6 @@ class PerturbSpec:
     steps: int = 7
     sample_count: int = 8        # Gaussian smoothing draws
     sample_fraction: float = 1.0  # share of batch rows that get attacked
-    fraction_mode: str = "sample_fraction"  # or "magnitude_fraction"
 
     def __post_init__(self):
         self.method = PerturbMethod(self.method)
@@ -40,8 +39,6 @@ class PerturbSpec:
             raise ValueError(f"radius must be nonnegative, got {self.radius}")
         if not 0.0 <= self.sample_fraction <= 1.0:
             raise ValueError(f"sample_fraction must be in [0, 1], got {self.sample_fraction}")
-        if self.fraction_mode not in ("sample_fraction", "magnitude_fraction"):
-            raise ValueError(f"unknown fraction_mode {self.fraction_mode!r}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
 

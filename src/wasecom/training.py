@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import models as M
-from .channel import ChannelConfig, ChannelKind, apply_realization, draw_realization
+from .channel import ChannelConfig, ChannelKind, draw_realization
 from .data import Dataset
 from .metrics import MetricsRecord, bleu, psnr_from_mse, ssim
 from .models import ModelBundle, ModelDims, TaskKind, save_checkpoint
@@ -258,8 +258,14 @@ def train(cfg: TrainConfig, data: Dataset, **kwargs):
 
 
 # ------------------------------------------------------------------ evaluate
+def _attacking(attack: PerturbSpec | None) -> bool:
+    """Whether `evaluate` perturbs any input under this spec; otherwise the cell runs clean."""
+    return (attack is not None and attack.radius > 0 and attack.sample_fraction > 0
+            and attack.method not in (PerturbMethod.NONE, PerturbMethod.GAUSSIAN))
+
+
 def _attack_label(attack: PerturbSpec | None) -> str:
-    if attack is None or attack.radius == 0 or attack.method is PerturbMethod.NONE:
+    if not _attacking(attack):
         return "clean"
     return f"{attack.method.value}(eps={attack.radius:g},frac={attack.sample_fraction:g})"
 
@@ -287,9 +293,7 @@ def evaluate(bundle: ModelBundle, data, channel_cfg: ChannelConfig,
         raise ValueError("empty evaluation set")
     frozen = bundle.frozen()
     task = bundle.task
-    attacking = (attack is not None and attack.radius > 0
-                 and attack.method not in (PerturbMethod.NONE, PerturbMethod.GAUSSIAN)
-                 and attack.sample_fraction > 0)
+    attacking = _attacking(attack)
     side = int(round(np.sqrt(bundle.dims.input_dim)))
     has_ssim = task is TaskKind.IMAGE and side * side == bundle.dims.input_dim
 
@@ -299,29 +303,21 @@ def evaluate(bundle: ModelBundle, data, channel_cfg: ChannelConfig,
         rng = _stream(seed, TAG_EVAL_CHANNEL, bi)
         if task is TaskKind.IMAGE:
             centers = np.asarray(batch, dtype=float)
-            u0 = M.channel_encode(frozen, M.semantic_encode(frozen, Tensor(centers)))
         else:
             centers = M.embed_tokens(frozen, batch).data
-            u0 = M.channel_encode(frozen, M.semantic_encode_from_embeddings(frozen, Tensor(centers)))
+        u0 = M.encode_signal(frozen, Tensor(centers))
         power = float(np.mean(u0.data**2))
         realization = draw_realization(channel_cfg, len(batch), bundle.dims.signal_dim,
                                        power, rng)
-
-        def forward(inputs: Tensor) -> Tensor:
-            if task is TaskKind.IMAGE:
-                s = M.semantic_encode(frozen, inputs)
-            else:
-                s = M.semantic_encode_from_embeddings(frozen, inputs)
-            z = apply_realization(M.channel_encode(frozen, s), realization)
-            return M.semantic_decode(frozen, M.channel_decode(frozen, z))
-
-        inputs = centers
         if attacking:
             mask = attacked_row_mask(len(batch), attack.sample_fraction,
                                      _stream(seed, TAG_EVAL_ATTACK, bi))
-            loss_fn = lambda leaf: M.per_sample_reconstruction_loss(frozen, batch, forward(leaf))
+            loss_fn = lambda leaf: M.per_sample_reconstruction_loss(
+                frozen, batch, M.pipeline(frozen, leaf, realization))
             inputs = _run_attack(loss_fn, centers, attack, mask)
-        out = forward(Tensor(inputs))
+            out = M.pipeline(frozen, Tensor(inputs), realization)
+        else:
+            out = M.decode_signal(frozen, u0, realization)
 
         if task is TaskKind.IMAGE:
             per_sample = np.mean((out.data - np.asarray(batch)) ** 2, axis=1)
@@ -330,13 +326,12 @@ def evaluate(bundle: ModelBundle, data, channel_cfg: ChannelConfig,
                 imgs = out.data.reshape(-1, side, side)
                 refs = np.asarray(batch).reshape(-1, side, side)
                 window = min(8, side)
-                ssim_sum += sum(ssim(r, i, window=window) for r, i in zip(refs, imgs))
+                ssim_sum += ssim(refs, imgs, window=window) * len(refs)
         else:
             nll = M.per_sample_reconstruction_loss(frozen, batch, out)
             nll_sum += float(nll.data.sum())
             decoded = M.greedy_decode(out.data, len(batch), bundle.dims.seq_len)
-            for cand, ref in zip(decoded, batch):
-                bleu_sum += bleu(list(map(int, cand)), [list(map(int, ref))])
+            bleu_sum += bleu(decoded, batch) * len(batch)
 
     n = len(samples)
     label = _attack_label(attack)

@@ -104,3 +104,98 @@ def test_metrics_record_csv_shape():
     fields = row.split(",")
     assert len(fields) == 8 and fields[0] == "image" and fields[-1] == "256"
     assert fields[6] == ""  # bleu empty for the image task
+
+
+# ------------------------------------------- batched forms against references
+def _reference_ngram_counts(tokens, n):
+    counts = {}
+    for i in range(len(tokens) - n + 1):
+        g = tuple(tokens[i:i + n])
+        counts[g] = counts.get(g, 0) + 1
+    return counts
+
+
+def _reference_bleu(candidate, references, max_n=4, smooth=1e-9):
+    """The dict-count sentence BLEU that the array implementation replaced."""
+    candidate = list(candidate)
+    refs = [list(r) for r in references]
+    c = len(candidate)
+    r = min((len(ref) for ref in refs), key=lambda L: (abs(L - c), L))
+    log_precisions = []
+    for n in range(1, max_n + 1):
+        cand_counts = _reference_ngram_counts(candidate, n)
+        total = sum(cand_counts.values())
+        if total == 0:
+            break
+        clipped = 0
+        for g, cnt in cand_counts.items():
+            best_ref = max(_reference_ngram_counts(ref, n).get(g, 0) for ref in refs)
+            clipped += min(cnt, best_ref)
+        log_precisions.append(np.log(clipped if clipped > 0 else smooth) - np.log(total))
+    geo = np.exp(np.mean(log_precisions))
+    brevity = 1.0 if c > r else np.exp(1.0 - r / c)
+    return float(brevity * geo)
+
+
+@pytest.mark.parametrize("vocab", [8, 32])
+@pytest.mark.parametrize("length", [1, 3, 8, 12])
+def test_batched_bleu_rows_match_single_sentence_form_bitwise(vocab, length):
+    rng = np.random.default_rng([vocab, length])
+    cand = rng.integers(vocab, size=(64, length))
+    refs = rng.integers(vocab, size=(64, length))
+    refs[::4] = cand[::4]                                  # exact matches
+    refs[1::4, : length // 2] = cand[1::4, : length // 2]  # shared prefixes
+    expected = [_reference_bleu(list(map(int, c)), [list(map(int, r))])
+                for c, r in zip(cand, refs)]
+    singles = [MX.bleu(list(map(int, c)), [list(map(int, r))]) for c, r in zip(cand, refs)]
+    rows = MX._sentence_bleu(cand, refs[:, None, :], length, 4, 1e-9)
+    assert singles == expected
+    assert np.array_equal(rows, expected)
+    assert MX.bleu(cand, refs) == float(np.mean(expected))
+
+
+def test_bleu_multi_reference_and_string_tokens_match_reference():
+    rng = np.random.default_rng(11)
+    words = np.array(["the", "cat", "sat", "on", "a", "mat"])
+    for _ in range(300):
+        cand = list(words[rng.integers(4, size=rng.integers(1, 9))])
+        refs = [list(words[rng.integers(4, size=rng.integers(1, 11))])
+                for _ in range(rng.integers(1, 4))]
+        for max_n in (1, 2, 4):
+            assert MX.bleu(cand, refs, max_n=max_n) == _reference_bleu(cand, refs, max_n)
+
+
+def test_batched_bleu_rejects_mismatched_or_empty_rows():
+    with pytest.raises(ValueError, match="shape"):
+        MX.bleu(np.zeros((2, 3), dtype=int), np.zeros((2, 4), dtype=int))
+    with pytest.raises(ValueError, match="empty"):
+        MX.bleu(np.zeros((2, 0), dtype=int), np.zeros((2, 0), dtype=int))
+
+
+def _reference_ssim(x, y, window, max_val=1.0):
+    """The single-image sliding-window loop, averaged over the window positions."""
+    c1, c2 = (0.01 * max_val) ** 2, (0.03 * max_val) ** 2
+    h, w = x.shape
+    vals = []
+    for i in range(h - window + 1):
+        for j in range(w - window + 1):
+            px, py = x[i:i + window, j:j + window].ravel(), y[i:i + window, j:j + window].ravel()
+            ux, uy = px.mean(), py.mean()
+            vx, vy = ((px - ux) ** 2).mean(), ((py - uy) ** 2).mean()
+            cov = ((px - ux) * (py - uy)).mean()
+            vals.append((2 * ux * uy + c1) * (2 * cov + c2)
+                        / ((ux**2 + uy**2 + c1) * (vx + vy + c2)))
+    return float(np.mean(vals))
+
+
+@pytest.mark.parametrize("side", [8, 12, 16])
+@pytest.mark.parametrize("window", [8, 4])
+def test_ssim_per_image_in_a_batch_matches_single_calls_bitwise(side, window):
+    rng = np.random.default_rng([side, window])
+    x = rng.uniform(size=(5, side, side))
+    y = np.clip(x + rng.normal(scale=0.1, size=x.shape), 0, 1)
+    per_image = MX._ssim_per_image(x, y, 1.0, window)
+    singles = [MX.ssim(a, b, window=window) for a, b in zip(x, y)]
+    assert np.array_equal(per_image, singles)
+    assert singles == [_reference_ssim(a, b, window) for a, b in zip(x, y)]
+    assert MX.ssim(x, y, window=window) == float(per_image.mean())

@@ -60,8 +60,19 @@ def test_normalization_can_be_disabled():
     assert np.abs(np.mean(u.data**2, axis=1) - 1.0).max() > 1e-6
 
 
+def make_identity_bundle(dim: int) -> M.ModelBundle:
+    """Square single-layer linear stack with identity weights."""
+    dims = M.ModelDims(input_dim=dim, semantic_dim=dim, signal_dim=dim, hidden_dim=dim)
+    bundle = M.ModelBundle(M.TaskKind.IMAGE, dims, activation="linear",
+                           normalize_signal=False, init="zeros")
+    for name in ("sem_enc", "sem_dec", "chan_enc", "chan_dec"):
+        setattr(bundle, name, M.Mlp([dim, dim], activation="linear", init="zeros"))
+        getattr(bundle, name).weights[0].data[...] = np.eye(dim)
+    return bundle
+
+
 def test_identity_bundle_reconstructs_exactly():
-    b = M.make_identity_bundle(6)
+    b = make_identity_bundle(6)
     x = np.random.default_rng(3).normal(size=(4, 6))
     out = M.semantic_decode(b, M.channel_decode(b, M.channel_encode(b, M.semantic_encode(b, Tensor(x)))))
     assert np.array_equal(out.data, x)
@@ -116,11 +127,29 @@ def test_frozen_view_shares_values_but_takes_no_grads():
     assert fz.sem_enc.weights[0].data[0, 0] == b.sem_enc.weights[0].data[0, 0]
 
 
+def estimate_lipschitz(fn, samples: np.ndarray, n_pairs=200, rng=None) -> float:
+    """Empirical Lipschitz constant of a scalar map by sampling point pairs."""
+    rng = rng or np.random.default_rng(0)
+    n = len(samples)
+    if n < 2:
+        raise ValueError("need at least two samples")
+    best = 0.0
+    for _ in range(n_pairs):
+        i, j = rng.integers(0, n, size=2)
+        if i == j:
+            continue
+        dx = float(np.linalg.norm(samples[i] - samples[j]))
+        if dx < 1e-12:
+            continue
+        best = max(best, abs(fn(samples[i]) - fn(samples[j])) / dx)
+    return best
+
+
 def test_estimate_lipschitz_linear_map():
     rng = np.random.default_rng(9)
     w = rng.normal(size=4)
     samples = rng.normal(size=(40, 4))
-    est = M.estimate_lipschitz(lambda x: float(w @ x), samples, n_pairs=400, rng=rng)
+    est = estimate_lipschitz(lambda x: float(w @ x), samples, n_pairs=400, rng=rng)
     true_l = float(np.linalg.norm(w))
     assert est <= true_l + 1e-9
     assert est >= 0.5 * true_l  # pairs give a decent lower estimate

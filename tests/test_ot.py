@@ -289,6 +289,48 @@ def test_sampled_plans_stay_feasible():
     assert spread > 10  # the sampler actually moves mass around
 
 
+def _reference_sample_plans(P, grid, radius, count, rng):
+    """The sampler drawing each source cell with `rng.choice`."""
+    grid = np.atleast_2d(np.asarray(grid, dtype=float))
+    C = ot._grid_costs(P, grid)
+    m, g = C.shape
+    nearest = C.argmin(axis=1)
+    left0 = radius**2 - float(P.weights @ C[np.arange(m), nearest])
+    plans = []
+    for _ in range(count):
+        plan = np.zeros((m, g))
+        plan[np.arange(m), nearest] = P.weights
+        left = left0
+        for _move in range(4 * m + 8):
+            i = int(rng.integers(m))
+            j = int(rng.integers(g))
+            src = int(rng.choice(np.flatnonzero(plan[i] > 1e-12)))
+            if src == j:
+                continue
+            extra = C[i, j] - C[i, src]
+            cap = plan[i, src] if extra <= ot._TOL else min(plan[i, src], left / extra)
+            amount = cap * rng.uniform()
+            if amount <= 0:
+                continue
+            plan[i, src] -= amount
+            plan[i, j] += amount
+            left -= extra * amount
+        plans.append(plan)
+    return plans
+
+
+@pytest.mark.parametrize("seed", [0, 7, 101])
+def test_sampled_plans_match_choice_reference(seed):
+    for inst in ot.bundled_instances():
+        if inst.radius == 0:
+            continue
+        got = ot.sample_plans_in_ball(inst.P, inst.grid, inst.radius, 5,
+                                      np.random.default_rng(seed))
+        want = _reference_sample_plans(inst.P, inst.grid, inst.radius, 5,
+                                       np.random.default_rng(seed))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), inst.name
+
+
 # ------------------------------------------------------------ theory checks
 def test_lemma_sandwich_passes_on_linear_family():
     P = _dist([[-0.5], [0.5]])

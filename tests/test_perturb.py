@@ -169,7 +169,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         PerturbSpec(method="fgsm", sample_fraction=1.5)
     with pytest.raises(ValueError):
-        PerturbSpec(method="fgsm", fraction_mode="bogus")
+        PerturbSpec(method="pgd", steps=0)
 
 
 def test_attacked_row_mask_fraction_and_determinism():

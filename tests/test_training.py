@@ -4,12 +4,14 @@ import time
 import numpy as np
 import pytest
 
+from wasecom import models as M
 from wasecom import training as TR
-from wasecom.channel import ChannelConfig, ChannelKind
+from wasecom.channel import ChannelConfig, ChannelKind, apply_realization, draw_realization
 from wasecom.data import generate_synthetic_images, generate_synthetic_text
+from wasecom.metrics import bleu, ssim
 from wasecom.models import ModelBundle, ModelDims, load_checkpoint
 from wasecom.objectives import RobustnessConfig
-from wasecom.perturb import PerturbMethod, PerturbSpec
+from wasecom.perturb import PerturbMethod, PerturbSpec, attacked_row_mask
 from wasecom.tensor import Tensor
 from wasecom.training import Mode, TrainConfig, TrainingDiverged, evaluate, train
 
@@ -255,6 +257,92 @@ def test_evaluate_deterministic_and_rejects_empty():
     assert r1 == r2
     with pytest.raises(ValueError, match="empty"):
         evaluate(bundle, np.zeros((0, data.feature_dim)), cfg)
+
+
+@pytest.mark.parametrize("attack", [
+    PerturbSpec(PerturbMethod.GAUSSIAN, radius=0.1),
+    PerturbSpec(PerturbMethod.FGSM, radius=0.1, sample_fraction=0.0),
+])
+def test_unattacked_specs_run_and_are_labelled_clean(attack):
+    data = _image_data(n=12)
+    bundle = ModelBundle(data.task, _dims_for(data), seed=3)
+    cfg = ChannelConfig(ChannelKind.AWGN, 8.0)
+    assert TR._attack_label(attack) == "clean"
+    assert evaluate(bundle, data, cfg, attack=attack, seed=5) == \
+        evaluate(bundle, data, cfg, attack=None, seed=5)
+
+
+def _reference_evaluate(bundle, samples, channel_cfg, attack, seed, batch_size):
+    """The per-item evaluate loop: a second encoder pass on clean batches, one
+    `ssim` call per image and one `bleu` call per sentence."""
+    frozen = bundle.frozen()
+    image = bundle.task is M.TaskKind.IMAGE
+    side = int(round(np.sqrt(bundle.dims.input_dim)))
+    se_sum = ssim_sum = nll_sum = bleu_sum = 0.0
+    for bi, start in enumerate(range(0, len(samples), batch_size)):
+        batch = samples[start:start + batch_size]
+        rng = TR._stream(seed, TR.TAG_EVAL_CHANNEL, bi)
+        if image:
+            centers = np.asarray(batch, dtype=float)
+            u0 = M.channel_encode(frozen, M.semantic_encode(frozen, Tensor(centers)))
+        else:
+            centers = M.embed_tokens(frozen, batch).data
+            u0 = M.channel_encode(frozen, M.semantic_encode_from_embeddings(frozen, Tensor(centers)))
+        realization = draw_realization(channel_cfg, len(batch), bundle.dims.signal_dim,
+                                       float(np.mean(u0.data**2)), rng)
+
+        def forward(inputs):
+            if image:
+                s = M.semantic_encode(frozen, inputs)
+            else:
+                s = M.semantic_encode_from_embeddings(frozen, inputs)
+            z = apply_realization(M.channel_encode(frozen, s), realization)
+            return M.semantic_decode(frozen, M.channel_decode(frozen, z))
+
+        inputs = centers
+        if attack is not None:
+            mask = attacked_row_mask(len(batch), attack.sample_fraction,
+                                     TR._stream(seed, TR.TAG_EVAL_ATTACK, bi))
+            inputs = TR._run_attack(
+                lambda leaf: M.per_sample_reconstruction_loss(frozen, batch, forward(leaf)),
+                centers, attack, mask)
+        out = forward(Tensor(inputs))
+        if image:
+            se_sum += float(np.mean((out.data - batch) ** 2, axis=1).sum())
+            imgs, refs = out.data.reshape(-1, side, side), batch.reshape(-1, side, side)
+            ssim_sum += sum(ssim(r, i, window=min(8, side)) for r, i in zip(refs, imgs))
+        else:
+            nll_sum += float(M.per_sample_reconstruction_loss(frozen, batch, out).data.sum())
+            decoded = M.greedy_decode(out.data, len(batch), bundle.dims.seq_len)
+            for cand, ref in zip(decoded, batch):
+                bleu_sum += bleu(list(map(int, cand)), [list(map(int, ref))])
+    n = len(samples)
+    return {"mse": se_sum / n, "ssim": ssim_sum / n} if image else \
+        {"mse": nll_sum / n, "bleu": bleu_sum / n}
+
+
+@pytest.mark.parametrize("task", ["image", "text"])
+@pytest.mark.parametrize("kind,attack", [
+    (ChannelKind.AWGN, None),
+    (ChannelKind.RAYLEIGH, None),
+    (ChannelKind.AWGN, PerturbSpec(PerturbMethod.FGSM, radius=0.3, epsilon_inf=0.1,
+                                   sample_fraction=0.5)),
+])
+def test_batched_evaluate_matches_per_item_reference(task, kind, attack):
+    if task == "image":
+        data = _image_data(n=120, side=8, seed=2)
+    else:
+        data = generate_synthetic_text(120, vocab_size=8, max_len=6, seed=2)
+    bundle, _ = TR.train_erm(_cfg(epochs=4, lr=1e-2, mode=Mode.ERM), data)
+    channel = ChannelConfig(kind, 6.0)
+    rec = evaluate(bundle, data, channel, attack, seed=4, batch_size=8)
+    ref = _reference_evaluate(bundle, data.eval, channel, attack, seed=4, batch_size=8)
+    assert rec.mse == ref["mse"]                      # pixel MSE, or token NLL for text
+    if task == "image":
+        assert rec.psnr_db == TR.psnr_from_mse(ref["mse"])
+        assert abs(rec.ssim - ref["ssim"]) <= 1e-15
+    else:
+        assert abs(rec.bleu - ref["bleu"]) <= 1e-15
 
 
 def test_config_validation():
