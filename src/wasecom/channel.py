@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensor as T
 from .tensor import Tensor
 
 RAYLEIGH_SCALE = 1.0 / np.sqrt(2.0)
@@ -66,7 +67,7 @@ def draw_realization(cfg: ChannelConfig, batch: int, dim: int, signal_power: flo
 
 def apply_realization(u: Tensor, realization: ChannelRealization) -> Tensor:
     """z = h * u + w with h, w fixed constants; differentiable in u."""
-    return Tensor(realization.h) * u + Tensor(realization.w)
+    return T.scale_shift(u, realization.h, realization.w)
 
 
 def transmit(cfg: ChannelConfig, u: Tensor, rng: np.random.Generator):

@@ -112,12 +112,12 @@ def _channel_case(rng):
     leaves = [rng.normal(size=(din, dsig)) * 0.7, rng.normal(size=(dsig, din)) * 0.7]
 
     def forward(p):
-        u = T.matmul(Tensor(x), p[0])
-        pw = u.square().mean(axis=1) + Tensor(np.full(b, 1e-12))
-        u = u * pw.pow(-0.5).reshape(b, 1)
-        z = Tensor(hch) * u + Tensor(wch)
+        # the fused power normalization, channel and row loss; their chain forms
+        # stay checked by the mlp, elementwise and reduction cases
+        u = T.rms_normalize(T.matmul(Tensor(x), p[0]), 1e-12)
+        z = T.scale_shift(u, hch, wch)
         xhat = T.matmul(z, p[1])
-        return (xhat - Tensor(x)).square().mean(axis=1).mean()
+        return T.row_mse(xhat, Tensor(x)).mean()
 
     return "channel-layer", forward, leaves
 

@@ -198,9 +198,7 @@ def semantic_encode(bundle: ModelBundle, x) -> Tensor:
 def channel_encode(bundle: ModelBundle, s: Tensor) -> Tensor:
     u = bundle.chan_enc(s)
     if bundle.normalize_signal:
-        b, d = u.data.shape
-        power = u.square().mean(axis=1) + Tensor(np.full(b, _POWER_EPS))
-        u = u * power.pow(-0.5).reshape(b, 1)
+        u = T.rms_normalize(u, _POWER_EPS)
     return u
 
 
@@ -249,7 +247,7 @@ def per_sample_reconstruction_loss(bundle: ModelBundle, reference, output: Tenso
         nll = T.logsumexp(output) - T.select_columns(output, ids.reshape(-1))
         return nll.reshape(b, t).mean(axis=1)
     ref = reference if isinstance(reference, Tensor) else Tensor(reference)
-    return (output - ref).square().mean(axis=1)
+    return T.row_mse(output, ref)
 
 
 def reconstruction_loss(bundle: ModelBundle, reference, output: Tensor) -> Tensor:
@@ -257,7 +255,7 @@ def reconstruction_loss(bundle: ModelBundle, reference, output: Tensor) -> Tenso
 
 
 def per_sample_channel_loss(s_ref: Tensor, s_hat: Tensor) -> Tensor:
-    return (s_hat - s_ref).square().mean(axis=1)
+    return T.row_mse(s_hat, s_ref)
 
 
 # --------------------------------------------------------------- checkpoint

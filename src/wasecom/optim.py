@@ -1,4 +1,14 @@
-"""Plain SGD and Adam over lists of parameter tensors."""
+"""Plain SGD and Adam over lists of parameter tensors.
+
+An optimizer owns its group's storage: at construction it copies the
+parameter values into one flat float64 buffer and the gradients into a
+second, and rebinds each parameter's `data` and `grad` to reshaped views of
+them.  A step is then a handful of whole-buffer numpy calls, whatever the
+number of parameters.  The updates are elementwise, so the numbers are those
+of one update per parameter.  Everything else writes parameters in place and
+keeps working on the views; a parameter belongs to one optimizer at a time
+(building a second one over it rebinds it to the new buffers).
+"""
 from __future__ import annotations
 
 import numpy as np
@@ -6,49 +16,59 @@ import numpy as np
 from .tensor import Tensor
 
 
-def _check_params(params):
+def _flatten(params: list[Tensor]):
+    """Move the group's values and gradients into two flat buffers; rebind views."""
+    if len({id(p) for p in params}) != len(params):
+        raise ValueError("optimizer: a parameter is listed more than once")
     for p in params:
         if p.grad is None:
-            raise ValueError("optimizer step: parameter has no gradient buffer (requires_grad is False?)")
+            raise ValueError("optimizer: parameter has no gradient buffer (requires_grad is False?)")
+    sizes = [p.data.size for p in params]
+    data, grad = np.empty(sum(sizes)), np.empty(sum(sizes))
+    start = 0
+    for p, n in zip(params, sizes):
+        shape = p.data.shape
+        for flat, name in ((data, "data"), (grad, "grad")):
+            view = flat[start:start + n].reshape(shape)
+            view[...] = getattr(p, name)
+            setattr(p, name, view)
+        start += n
+    return data, grad
 
 
 class Sgd:
     def __init__(self, params: list[Tensor], lr: float):
         self.params = list(params)
+        self.data, self.grad = _flatten(self.params)
         self.lr = float(lr)
 
     def step(self):
-        _check_params(self.params)
-        for p in self.params:
-            p.data -= self.lr * p.grad
+        self.data -= self.lr * self.grad
 
     def zero_grad(self):
-        for p in self.params:
-            p.zero_grad()
+        self.grad.fill(0.0)
 
 
 class Adam:
     def __init__(self, params: list[Tensor], lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)
+        self.data, self.grad = _flatten(self.params)
         self.lr = float(lr)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.m = np.zeros_like(self.data)
+        self.v = np.zeros_like(self.data)
 
     def step(self):
-        _check_params(self.params)
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+        g, m, v = self.grad, self.m, self.v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * (g * g)
+        self.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
 
     def zero_grad(self):
-        for p in self.params:
-            p.zero_grad()
+        self.grad.fill(0.0)

@@ -14,6 +14,7 @@ bounds build on the same machinery.
 """
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -251,26 +252,40 @@ def sample_plans_in_ball(P: DiscreteDistribution, grid: np.ndarray, radius: floa
     budget = radius**2
     if base_cost > budget + 1e-12:
         raise ValueError("ball too small for this grid")
+    # Rows are {cell: mass} dicts, each with the sorted list of its cells above
+    # 1e-12 (the move sources), and the arithmetic runs on Python floats: the
+    # same IEEE operations and draws as on a dense (m, g) plan.
+    costs = C.tolist()
+    weights = P.weights.tolist()
+    nearest = nearest.tolist()
     plans = []
     for _ in range(count):
-        plan = np.zeros((m, g))
-        plan[np.arange(m), nearest] = P.weights
+        rows = [{k: w} for k, w in zip(nearest, weights)]
+        sources = [[k] if w > 1e-12 else [] for k, w in zip(nearest, weights)]
         left = budget - base_cost
         for _move in range(4 * m + 8):
             i = int(rng.integers(m))
             j = int(rng.integers(g))
-            sources = np.flatnonzero(plan[i] > 1e-12)
-            src = int(sources[rng.integers(len(sources))])
+            row, srcs = rows[i], sources[i]
+            # integers(1) would consume no draw, so a lone source is taken directly
+            src = srcs[0] if len(srcs) == 1 else srcs[int(rng.integers(len(srcs)))]
             if src == j:
                 continue
-            extra = C[i, j] - C[i, src]
-            cap = plan[i, src] if extra <= _TOL else min(plan[i, src], left / extra)
-            amount = cap * rng.uniform()
+            extra = costs[i][j] - costs[i][src]
+            cap = row[src] if extra <= _TOL else min(row[src], left / extra)
+            amount = cap * rng.random()
             if amount <= 0:
                 continue
-            plan[i, src] -= amount
-            plan[i, j] += amount
+            row[src] -= amount
+            row[j] = row.get(j, 0.0) + amount
             left -= extra * amount
+            if row[src] <= 1e-12:
+                srcs.remove(src)
+            if row[j] > 1e-12 and j not in srcs:
+                bisect.insort(srcs, j)
+        plan = np.zeros((m, g))
+        for i, row in enumerate(rows):
+            plan[i, list(row)] = list(row.values())
         plans.append(plan)
     return plans
 

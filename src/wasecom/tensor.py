@@ -297,6 +297,82 @@ def dense(x: Tensor, w: Tensor, b: Tensor, activation: str | None = None) -> Ten
     return out
 
 
+def rms_normalize(a: Tensor, eps: float) -> Tensor:
+    """a / sqrt(mean_row(a^2) + eps), each row to unit mean power, as one node.
+
+    The float operations are those of the chain
+    a * (a.square().mean(axis=1) + eps).pow(-0.5).reshape(B, 1), in order;
+    a's two gradient terms are added once, as the chain adds them.
+    """
+    if a.data.ndim != 2:
+        raise ValueError(f"rms_normalize: expected a (batch, dim) array, got shape {a.data.shape}")
+    b, d = a.data.shape
+    power = (a.data * a.data).mean(axis=1) + float(eps)
+    exponent = -0.5
+    scale_col = (power ** exponent).reshape(b, 1)
+    out = Tensor(a.data * scale_col, _parents=(a,) if _needs_graph(a) else ())
+
+    def _bw():
+        g = out.grad
+        g_scale = _reduce_grad_to(g * a.data, scale_col.shape).reshape(b)
+        g_power = g_scale * exponent * power ** (exponent - 1.0)
+        g_square = np.broadcast_to(np.expand_dims(g_power, 1), a.data.shape) / d
+        a._accumulate(g * scale_col + g_square * (2.0 * a.data))
+
+    if out._parents:
+        out._backward = _bw
+    return out
+
+
+def scale_shift(a: Tensor, h: np.ndarray, w: np.ndarray) -> Tensor:
+    """h * a + w with constant arrays h and w, as one node; differentiable in a.
+
+    The float operations are those of Tensor(h) * a + Tensor(w), in order.
+    """
+    h = np.asarray(h, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    try:
+        prod = h * a.data
+    except ValueError:
+        raise ValueError(f"mul: incompatible shapes {h.shape} and {a.data.shape}") from None
+    try:
+        data = prod + w
+    except ValueError:
+        raise ValueError(f"add: incompatible shapes {prod.shape} and {w.shape}") from None
+    out = Tensor(data, _parents=(a,) if _needs_graph(a) else ())
+
+    def _bw():
+        a._accumulate(_reduce_grad_to(_reduce_grad_to(out.grad, prod.shape) * h, a.data.shape))
+
+    if out._parents:
+        out._backward = _bw
+    return out
+
+
+def row_mse(a: Tensor, b: Tensor) -> Tensor:
+    """Per-row mean squared difference (a - b)^2 over axis 1, as one node.
+
+    The float operations are those of (a - b).square().mean(axis=1), in order.
+    """
+    try:
+        diff = a.data - b.data
+    except ValueError:
+        raise _incompatible("sub", a, b) from None
+    out = Tensor((diff * diff).mean(axis=1), _parents=(a, b) if _needs_graph(a, b) else ())
+
+    def _bw():
+        g = np.broadcast_to(np.expand_dims(out.grad, 1), diff.shape) / diff.shape[1]
+        g = g * (2.0 * diff)
+        if a.requires_grad or a._parents:
+            a._accumulate(_reduce_grad_to(g, a.data.shape))
+        if b.requires_grad or b._parents:
+            b._accumulate(_reduce_grad_to(-g, b.data.shape))
+
+    if out._parents:
+        out._backward = _bw
+    return out
+
+
 def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.data, 0.0), _parents=(a,) if _needs_graph(a) else ())
 

@@ -117,12 +117,20 @@ class TrainLog:
 
 
 class TrainingDiverged(RuntimeError):
-    def __init__(self, record: StepRecord):
+    """A non-finite loss, or (with `param` set) a non-finite gradient of that parameter."""
+
+    def __init__(self, record: StepRecord, param: str | None = None):
         self.record = record
-        super().__init__(
-            f"non-finite loss at step {record.step} ({record.phase}): "
-            f"total={record.total}, penalty={record.penalty}, "
-            f"expectation={record.expectation}")
+        self.param = param
+        if param is None:
+            super().__init__(
+                f"non-finite loss at step {record.step} ({record.phase}): "
+                f"total={record.total}, penalty={record.penalty}, "
+                f"expectation={record.expectation}")
+        else:
+            super().__init__(
+                f"non-finite gradient at step {record.step} ({record.phase}) "
+                f"in parameter {param}")
 
 
 def default_dims(data: Dataset) -> ModelDims:
@@ -150,6 +158,15 @@ def _guard(log: TrainLog, rec: StepRecord):
     log.append(rec)
     if not np.isfinite(rec.total):
         raise TrainingDiverged(rec)
+
+
+def _check_grads(opt, bundle: ModelBundle, rec: StepRecord):
+    """Raise TrainingDiverged naming the first parameter of the group with a non-finite gradient."""
+    if not np.isfinite(opt.grad).all():
+        group = {id(p) for p in opt.params}
+        name = next(n for n, p in bundle.named_params()
+                    if id(p) in group and not np.isfinite(p.grad).all())
+        raise TrainingDiverged(rec, name)
 
 
 def _maybe_checkpoint(cfg, bundle, step, checkpoint_dir):
@@ -186,6 +203,7 @@ def train_wasecom(cfg: TrainConfig, data: Dataset, dims: ModelDims | None = None
                                  val.expectation_term, rob.lam, rob.gamma, 0.0)
                 _guard(log, rec)
                 val.total.backward()
+                _check_grads(outer_opt, bundle, rec)
                 outer_opt.step()
                 rec.wall_ms = (time.perf_counter() - t0) * 1e3
                 outer_cost = val.mean_cost
@@ -199,6 +217,7 @@ def train_wasecom(cfg: TrainConfig, data: Dataset, dims: ModelDims | None = None
                                  val.expectation_term, rob.lam, rob.gamma, 0.0)
                 _guard(log, rec)
                 val.total.backward()
+                _check_grads(inner_opt, bundle, rec)
                 inner_opt.step()
                 rec.wall_ms = (time.perf_counter() - t0) * 1e3
                 inner_cost = val.mean_cost
@@ -232,6 +251,7 @@ def train_erm(cfg: TrainConfig, data: Dataset, dims: ModelDims | None = None,
                 rec = StepRecord(step, "outer", value, 0.0, value, rob.lam, rob.gamma, 0.0)
                 _guard(log, rec)
                 total.backward()
+                _check_grads(outer_opt, bundle, rec)
                 outer_opt.step()
                 rec.wall_ms = (time.perf_counter() - t0) * 1e3
             for k in range(cfg.sub_steps):
@@ -243,6 +263,7 @@ def train_erm(cfg: TrainConfig, data: Dataset, dims: ModelDims | None = None,
                 rec = StepRecord(step, "inner", value, 0.0, value, rob.lam, rob.gamma, 0.0)
                 _guard(log, rec)
                 total.backward()
+                _check_grads(inner_opt, bundle, rec)
                 inner_opt.step()
                 rec.wall_ms = (time.perf_counter() - t0) * 1e3
             step += 1

@@ -331,6 +331,19 @@ def test_sampled_plans_match_choice_reference(seed):
         assert all(np.array_equal(a, b) for a, b in zip(got, want)), inst.name
 
 
+
+@pytest.mark.parametrize("seed", [0, 7, 101])
+def test_sampled_plans_match_reference_when_sources_fall_below_threshold(seed):
+    # an atom of mass 1e-11: a move leaves less than 1e-12 behind in about one
+    # draw in ten, so the row's source set must shrink as well as grow
+    P = DiscreteDistribution(np.array([[-0.5], [0.5]]), np.array([1.0 - 1e-11, 1e-11]))
+    grid = ot.grid_1d(-1.5, 1.5, 31)
+    got = ot.sample_plans_in_ball(P, grid, 0.5, 60, np.random.default_rng(seed))
+    want = _reference_sample_plans(P, grid, 0.5, 60, np.random.default_rng(seed))
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert any(np.count_nonzero((0 < plan[1]) & (plan[1] <= 1e-12)) for plan in got)
+
+
 # ------------------------------------------------------------ theory checks
 def test_lemma_sandwich_passes_on_linear_family():
     P = _dist([[-0.5], [0.5]])

@@ -139,6 +139,89 @@ def test_first_gradient_write_does_not_alias_upstream_grad():
     assert np.array_equal(x.grad, 2 * np.ones(3))
 
 
+def _fused_and_chain(fused_fn, chain_fn, inputs, needs_grad, upstream_seed=1):
+    """Values and leaf gradients of a fused op and of its op chain, on equal inputs.
+
+    Each input that needs grad enters through a matmul with a leaf weight, so
+    the op's input is an interior node as in the pipeline.
+    """
+    results = []
+    for fn in (fused_fn, chain_fn):
+        leaves, args = [], []
+        for a, grad in zip(inputs, needs_grad):
+            if grad:
+                w = Tensor(np.eye(a.shape[1]) * 0.5 + 0.1, requires_grad=True)
+                x = Tensor(a.copy(), requires_grad=True)
+                leaves += [x, w]
+                args.append(T.matmul(x, w))
+            else:
+                args.append(Tensor(a.copy()))
+        y = fn(*args)
+        upstream = np.random.default_rng(upstream_seed).normal(size=y.shape)
+        (y * Tensor(upstream)).sum().backward()
+        results.append([y.data] + [p.grad for p in leaves])
+    return results
+
+
+def _assert_bitwise(results):
+    fused, chain = results
+    assert len(fused) == len(chain)
+    for got, want in zip(fused, chain):
+        assert np.array_equal(got, want)
+
+
+def test_rms_normalize_is_bitwise_equal_to_op_chain():
+    rng = np.random.default_rng(2)
+    a = rng.normal(size=(6, 5))
+    a[3] = 0.0   # all-zero row: eps alone sets its scale
+
+    def chain(u):
+        power = u.square().mean(axis=1) + Tensor(np.full(u.shape[0], 1e-12))
+        return u * power.pow(-0.5).reshape(u.shape[0], 1)
+
+    results = _fused_and_chain(lambda u: T.rms_normalize(u, 1e-12), chain, [a], [True])
+    _assert_bitwise(results)
+    y = results[0][0]
+    assert np.allclose(np.mean(np.delete(y, 3, axis=0) ** 2, axis=1), 1.0)
+    assert np.array_equal(y[3], np.zeros(5))
+
+
+def test_scale_shift_is_bitwise_equal_to_op_chain():
+    rng = np.random.default_rng(3)
+    u = rng.normal(size=(5, 4))
+    h = np.repeat(rng.rayleigh(scale=1 / np.sqrt(2), size=(5, 1)), 4, axis=1)
+    w = rng.normal(scale=0.3, size=(5, 4))
+    _assert_bitwise(_fused_and_chain(lambda t: T.scale_shift(t, h, w),
+                                     lambda t: Tensor(h) * t + Tensor(w), [u], [True]))
+
+
+@pytest.mark.parametrize("needs_grad", [(True, False), (True, True)])
+def test_row_mse_is_bitwise_equal_to_op_chain(needs_grad):
+    rng = np.random.default_rng(4)
+    a, b = rng.normal(size=(6, 5)), rng.normal(size=(6, 5))
+    _assert_bitwise(_fused_and_chain(T.row_mse, lambda x, y: (x - y).square().mean(axis=1),
+                                     [a, b], needs_grad))
+
+
+def test_fused_ops_shape_errors_keep_chain_messages():
+    u = Tensor(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match=r"mul: incompatible shapes \(4, 5\) and \(2, 3\)"):
+        T.scale_shift(u, np.ones((4, 5)), np.zeros((2, 3)))
+    with pytest.raises(ValueError, match=r"add: incompatible shapes \(2, 3\) and \(4, 5\)"):
+        T.scale_shift(u, np.ones((2, 3)), np.zeros((4, 5)))
+    with pytest.raises(ValueError, match=r"sub: incompatible shapes \(2, 3\) and \(4, 5\)"):
+        T.row_mse(u, Tensor(np.zeros((4, 5))))
+    with pytest.raises(ValueError, match=r"rms_normalize.*\(3,\)"):
+        T.rms_normalize(Tensor(np.zeros(3)), 1e-12)
+
+
+def test_fused_ops_without_grad_build_no_graph():
+    u = Tensor(np.ones((2, 3)))
+    for out in (T.rms_normalize(u, 1e-12), T.scale_shift(u, np.ones((2, 3)), np.zeros((2, 3))),
+                T.row_mse(u, Tensor(np.zeros((2, 3))))):
+        assert out._parents == () and out._backward is None
+
+
 def test_bias_broadcast_gradient_sums_over_batch():
     x = Tensor(np.ones((4, 3)), requires_grad=True)
     b = Tensor(np.zeros(3), requires_grad=True)
@@ -269,3 +352,96 @@ def test_adam_trajectory_is_deterministic():
         return p.data.copy()
 
     assert np.array_equal(run(), run())
+
+
+class _PerParamAdam:
+    """Reference: Adam as one update per parameter, each with its own moments."""
+
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params, self.lr = params, lr
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.t = 0
+        self.m = [np.zeros_like(p.data) for p in params]
+        self.v = [np.zeros_like(p.data) for p in params]
+
+    def step(self):
+        self.t += 1
+        b1t = 1.0 - self.beta1 ** self.t
+        b2t = 1.0 - self.beta2 ** self.t
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = p.grad
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+
+    def zero_grad(self):
+        for p in self.params:
+            p.zero_grad()
+
+
+class _PerParamSgd:
+    def __init__(self, params, lr):
+        self.params, self.lr = params, lr
+
+    def step(self):
+        for p in self.params:
+            p.data -= self.lr * p.grad
+
+    def zero_grad(self):
+        for p in self.params:
+            p.zero_grad()
+
+
+def _mixed_params():
+    """A weight matrix, a 1-D bias and a text embedding table."""
+    rng = np.random.default_rng(9)
+    return [Tensor(rng.normal(size=(4, 3)), requires_grad=True),
+            Tensor(rng.normal(size=3) * 0.1, requires_grad=True),
+            Tensor(rng.normal(size=(8, 4)), requires_grad=True)]
+
+
+def _mixed_loss(params, step):
+    w, b, table = params
+    ids = np.random.default_rng(step).integers(0, 8, size=6)
+    y = T.dense(T.gather_rows(table, ids), w, b, "tanh")
+    return (y - Tensor(np.full((6, 3), 0.3))).square().mean()
+
+
+@pytest.mark.parametrize("flat_cls, ref_cls, lr", [(Adam, _PerParamAdam, 0.05),
+                                                   (Sgd, _PerParamSgd, 0.1)])
+def test_flat_optimizer_matches_per_parameter_loop(flat_cls, ref_cls, lr):
+    flat_params, ref_params = _mixed_params(), _mixed_params()
+    flat, ref = flat_cls(flat_params, lr), ref_cls(ref_params, lr)
+    for step in range(25):
+        for opt, params in ((flat, flat_params), (ref, ref_params)):
+            opt.zero_grad()
+            _mixed_loss(params, step).backward()
+            opt.step()
+        for p, q in zip(flat_params, ref_params):
+            assert p.data.shape == q.data.shape
+            assert np.array_equal(p.data, q.data)
+            assert np.array_equal(p.grad, q.grad)
+    # the parameters are views of the optimizer's two flat buffers
+    assert all(np.shares_memory(p.data, flat.data) for p in flat_params)
+    assert all(np.shares_memory(p.grad, flat.grad) for p in flat_params)
+
+
+def test_flat_optimizer_keeps_initial_values_and_zeroes_grads():
+    params = _mixed_params()
+    before = [p.data.copy() for p in params]
+    _mixed_loss(params, 0).backward()
+    grads = [p.grad.copy() for p in params]
+    opt = Adam(params, lr=0.01)
+    for p, d, g in zip(params, before, grads):
+        assert np.array_equal(p.data, d) and np.array_equal(p.grad, g)
+    opt.zero_grad()
+    assert all(not p.grad.any() for p in params)
+
+
+@pytest.mark.parametrize("cls", [Adam, Sgd])
+def test_optimizer_rejects_duplicate_parameter(cls):
+    p, q = Tensor(np.ones(2), requires_grad=True), Tensor(np.ones(3), requires_grad=True)
+    with pytest.raises(ValueError, match="more than once"):
+        cls([p, q, p], lr=0.1)

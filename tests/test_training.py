@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from wasecom import models as M
+from wasecom import tensor as T
 from wasecom import training as TR
 from wasecom.channel import ChannelConfig, ChannelKind, apply_realization, draw_realization
 from wasecom.data import generate_synthetic_images, generate_synthetic_text
@@ -152,6 +153,50 @@ def test_non_finite_loss_aborts_with_diagnostics(monkeypatch):
                         lambda *a, **k: Tensor(np.array(np.nan)))
     with pytest.raises(TrainingDiverged, match="non-finite loss at step 0"):
         TR.train_erm(cfg, data)
+
+
+def _nan_grad_term(param):
+    # sqrt at 0 behind a zero scale: adds 0 to the loss, and NaN to param's gradient
+    return T.power(T.scale(param, 0.0), 0.5).sum()
+
+
+@pytest.mark.parametrize("mode, loss_name, param_name, phase", [
+    (Mode.ERM, "clean_outer_loss", "chan_dec.b1", "outer"),
+    (Mode.WASECOM, "inner_dual_loss", "sem_dec.w0", "inner"),
+])
+def test_non_finite_gradient_aborts_naming_the_parameter(monkeypatch, mode, loss_name,
+                                                         param_name, phase):
+    data = _image_data(n=16)
+    cfg = _cfg(mode=mode)
+    original = getattr(TR, loss_name)
+
+    def poisoned(bundle, *args, **kwargs):
+        out = original(bundle, *args, **kwargs)
+        param = dict(bundle.named_params())[param_name]
+        if isinstance(out, Tensor):
+            return out + _nan_grad_term(param)
+        out.total = out.total + _nan_grad_term(param)
+        return out
+
+    monkeypatch.setattr(TR, loss_name, poisoned)
+    with pytest.raises(TrainingDiverged, match=rf"gradient at step 0 \({phase}\).*{param_name}") as err:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            train(cfg, data)
+    assert err.value.param == param_name
+    assert err.value.record.phase == phase and np.isfinite(err.value.record.total)
+
+
+def test_trained_values_reach_frozen_view_and_checkpoint(tmp_path):
+    data = _image_data(n=16)
+    bundle, _ = train(_cfg(mode=Mode.ERM), data)
+    fresh = ModelBundle(data.task, _dims_for(data), seed=0)
+    assert bundle.param_bytes() != fresh.param_bytes()
+    frozen = bundle.frozen()
+    assert frozen.param_bytes() == bundle.param_bytes()
+    assert all(np.shares_memory(f.data, p.data)
+               for (_, f), (_, p) in zip(frozen.named_params(), bundle.named_params()))
+    M.save_checkpoint(bundle, tmp_path / "trained.bin")
+    assert load_checkpoint(tmp_path / "trained.bin").param_bytes() == bundle.param_bytes()
 
 
 def test_robust_smoke_run_moves_duals():
