@@ -19,7 +19,7 @@ from .data import (Dataset, generate_synthetic_images, generate_synthetic_text,
 from .models import ModelDims, TaskKind
 from .objectives import RobustnessConfig
 from .perturb import PerturbSpec
-from .training import Mode, TrainConfig
+from .training import Mode, TrainConfig, default_dims
 
 
 class ConfigError(ValueError):
@@ -210,13 +210,4 @@ def build_dataset(cfg: ExperimentConfig) -> Dataset:
 
 def model_dims(cfg: ExperimentConfig, data: Dataset) -> ModelDims:
     m = cfg.model
-    if data.task is TaskKind.IMAGE:
-        d = data.feature_dim
-        return ModelDims(d, m.semantic_dim or max(8, d // 4),
-                         m.signal_dim or max(8, d // 4),
-                         m.hidden_dim or max(16, d // 2))
-    seq = data.train.shape[1]
-    sem = m.semantic_dim or 4 * seq
-    return ModelDims(seq * m.embed_dim, sem, m.signal_dim or sem,
-                     m.hidden_dim or 64, vocab_size=data.vocab_size,
-                     seq_len=seq, embed_dim=m.embed_dim)
+    return default_dims(data, m.semantic_dim, m.signal_dim, m.hidden_dim, m.embed_dim)

@@ -111,17 +111,10 @@ def _tile(realization: ChannelRealization, k: int) -> ChannelRealization:
 
 def clean_inner_loss(bundle, x, channel_cfg: ChannelConfig, rng) -> Tensor:
     """Plain reconstruction loss through one stochastic channel draw."""
-    if bundle.task is M.TaskKind.TEXT:
-        s = M.semantic_encode(bundle, x)
-        u = M.channel_encode(bundle, s)
-        z, _ = transmit(channel_cfg, u, rng)
-        out = M.semantic_decode(bundle, M.channel_decode(bundle, z))
-        return M.per_sample_reconstruction_loss(bundle, x, out).mean()
-    xt = Tensor(np.asarray(x, dtype=float))
-    u = M.channel_encode(bundle, M.semantic_encode(bundle, xt))
+    u = M.channel_encode(bundle, M.semantic_encode(bundle, x))
     z, _ = transmit(channel_cfg, u, rng)
     out = M.semantic_decode(bundle, M.channel_decode(bundle, z))
-    return M.per_sample_reconstruction_loss(bundle, xt, out).mean()
+    return M.per_sample_reconstruction_loss(bundle, x, out).mean()
 
 
 def clean_outer_loss(bundle, x, channel_cfg: ChannelConfig, rng) -> Tensor:

@@ -41,6 +41,10 @@ class PerturbSpec:
             raise ValueError(f"sample_fraction must be in [0, 1], got {self.sample_fraction}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        if self.sample_count < 1:
+            raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
+        if not np.isfinite(self.epsilon_inf) or self.epsilon_inf < 0:
+            raise ValueError(f"epsilon_inf must be finite and nonnegative, got {self.epsilon_inf}")
 
     def pgd_step_size(self) -> float:
         if self.step_size > 0:

@@ -1,12 +1,14 @@
 """Alternating bilevel training, the plain-ERM baseline, and evaluation.
 
-Each minibatch runs the OUTER phase first (received-signal uncertainty,
-updating the channel codec) and then the INNER phase (source uncertainty,
-updating the semantic codec through the just-updated channel codec), followed
-by a projected dual-variable step.  Randomness is drawn from per-purpose child
-streams keyed as [seed, tag, step, ...], so the robust loop with both radii at
-zero consumes exactly the same draws as the ERM loop and their parameter
-trajectories match bit for bit.
+One loop serves both trainers.  Each minibatch runs the OUTER phase first
+(received-signal uncertainty, updating the channel codec) and then the INNER
+phase (source uncertainty, updating the semantic codec through the
+just-updated channel codec).  WaSeCom scores the phases with the penalized
+dual objectives and follows them with a projected dual-variable step; ERM
+scores them with the clean losses and takes no dual step.  Randomness is drawn
+from per-purpose child streams keyed as [seed, tag, step, ...], so the robust
+loop with both radii at zero consumes exactly the same channel draws as the
+ERM loop and their parameter trajectories match bit for bit.
 """
 from __future__ import annotations
 
@@ -22,8 +24,8 @@ from .channel import ChannelConfig, ChannelKind, draw_realization
 from .data import Dataset
 from .metrics import MetricsRecord, bleu, psnr_from_mse, ssim
 from .models import ModelBundle, ModelDims, TaskKind, save_checkpoint
-from .objectives import (RobustnessConfig, clean_inner_loss, clean_outer_loss,
-                         inner_dual_loss, outer_dual_loss, update_duals)
+from .objectives import (DualObjectiveValue, RobustnessConfig, clean_inner_loss,
+                         clean_outer_loss, inner_dual_loss, outer_dual_loss, update_duals)
 from .optim import Adam, Sgd
 from .perturb import PerturbMethod, PerturbSpec, attacked_row_mask, fgsm, pgd
 from .tensor import Tensor
@@ -78,6 +80,8 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if not np.isfinite(self.lr) or self.lr < 0:
             raise ValueError("lr must be finite and nonnegative")
+        if not np.isfinite(self.dual_lr) or self.dual_lr < 0:
+            raise ValueError("dual_lr must be finite and nonnegative")
 
 
 TRAIN_LOG_HEADER = "step,phase,total,penalty,expectation,lambda,gamma,wall_ms"
@@ -133,31 +137,23 @@ class TrainingDiverged(RuntimeError):
                 f"in parameter {param}")
 
 
-def default_dims(data: Dataset) -> ModelDims:
+def default_dims(data: Dataset, semantic_dim: int | None = None, signal_dim: int | None = None,
+                 hidden_dim: int | None = None, embed_dim: int = 8) -> ModelDims:
+    """Model sizes derived from the dataset; a size that is given overrides its default."""
     if data.task is TaskKind.IMAGE:
         d = data.feature_dim
-        return ModelDims(d, max(8, d // 4), max(8, d // 4), max(16, d // 2))
+        return ModelDims(d, semantic_dim or max(8, d // 4), signal_dim or max(8, d // 4),
+                         hidden_dim or max(16, d // 2))
     seq = data.train.shape[1]
-    embed = 8
-    return ModelDims(seq * embed, 4 * seq, 4 * seq, 64,
-                     vocab_size=data.vocab_size, seq_len=seq, embed_dim=embed)
-
-
-def _make_optimizers(cfg: TrainConfig, bundle: ModelBundle):
-    kind = Adam if cfg.optimizer == "adam" else Sgd
-    return kind(bundle.channel_params(), cfg.lr), kind(bundle.semantic_params(), cfg.lr)
+    sem = semantic_dim or 4 * seq
+    return ModelDims(seq * embed_dim, sem, signal_dim or sem, hidden_dim or 64,
+                     vocab_size=data.vocab_size, seq_len=seq, embed_dim=embed_dim)
 
 
 def _minibatches(n: int, batch_size: int, rng: np.random.Generator):
     order = rng.permutation(n)
     for start in range(0, n, batch_size):
         yield order[start:start + batch_size]
-
-
-def _guard(log: TrainLog, rec: StepRecord):
-    log.append(rec)
-    if not np.isfinite(rec.total):
-        raise TrainingDiverged(rec)
 
 
 def _check_grads(opt, bundle: ModelBundle, rec: StepRecord):
@@ -169,9 +165,57 @@ def _check_grads(opt, bundle: ModelBundle, rec: StepRecord):
         raise TrainingDiverged(rec, name)
 
 
-def _maybe_checkpoint(cfg, bundle, step, checkpoint_dir):
-    if checkpoint_dir and cfg.checkpoint_every > 0 and step % cfg.checkpoint_every == 0:
-        save_checkpoint(bundle, Path(checkpoint_dir) / f"ckpt_step{step:06d}.bin")
+def _train_alternating(cfg: TrainConfig, data: Dataset, dims, bundle, checkpoint_dir,
+                       on_step, robust: bool):
+    """The one training loop: per minibatch, the OUTER then the INNER phase.
+
+    `robust` picks the objective pair: the penalized dual losses with their
+    attack streams and a dual step per minibatch, or the clean losses without.
+    """
+    if bundle is None:
+        bundle = ModelBundle(data.task, dims or default_dims(data), seed=cfg.seed)
+    kind = Adam if cfg.optimizer == "adam" else Sgd
+    # the losses are read from the module per call, so a patched global takes effect
+    phases = (("outer", kind(bundle.channel_params(), cfg.lr), outer_dual_loss,
+               clean_outer_loss, cfg.perturb_outer, TAG_OUTER_CHANNEL, TAG_OUTER_ATTACK),
+              ("inner", kind(bundle.semantic_params(), cfg.lr), inner_dual_loss,
+               clean_inner_loss, cfg.perturb_inner, TAG_INNER_CHANNEL, TAG_INNER_ATTACK))
+    rob = cfg.robustness
+    log = TrainLog()
+    step = 0
+    for epoch in range(cfg.epochs):
+        for idx in _minibatches(len(data.train), cfg.batch_size, _stream(cfg.seed, TAG_SHUFFLE, epoch)):
+            x = data.train[idx]
+            mean_cost = {}
+            for phase, opt, dual_loss, clean_loss, spec, channel_tag, attack_tag in phases:
+                for k in range(cfg.sub_steps):
+                    t0 = time.perf_counter()
+                    opt.zero_grad()
+                    rng = _stream(cfg.seed, channel_tag, step, k)
+                    if robust:
+                        val = dual_loss(bundle, x, cfg.channel, rob, spec, rng=rng,
+                                        attack_rng=_stream(cfg.seed, attack_tag, step, k))
+                    else:  # no penalty, and no cost for a dual step to read
+                        loss = clean_loss(bundle, x, cfg.channel, rng=rng)
+                        val = DualObjectiveValue(loss, 0.0, float(loss.data), float("nan"))
+                    rec = StepRecord(step, phase, float(val.total.data), val.penalty_term,
+                                     val.expectation_term, rob.lam, rob.gamma, 0.0)
+                    log.append(rec)
+                    if not np.isfinite(rec.total):
+                        raise TrainingDiverged(rec)
+                    val.total.backward()
+                    _check_grads(opt, bundle, rec)
+                    opt.step()
+                    rec.wall_ms = (time.perf_counter() - t0) * 1e3
+                    mean_cost[phase] = val.mean_cost
+            if robust:
+                rob = update_duals(rob, cfg.dual_lr, mean_cost["inner"], mean_cost["outer"])
+            step += 1
+            if on_step:
+                on_step(step, bundle)
+            if checkpoint_dir and cfg.checkpoint_every > 0 and step % cfg.checkpoint_every == 0:
+                save_checkpoint(bundle, Path(checkpoint_dir) / f"ckpt_step{step:06d}.bin")
+    return bundle, log
 
 
 def train_wasecom(cfg: TrainConfig, data: Dataset, dims: ModelDims | None = None,
@@ -183,94 +227,14 @@ def train_wasecom(cfg: TrainConfig, data: Dataset, dims: ModelDims | None = None
     the full pipeline through the just-updated channel codec, and step the
     semantic codec; then a projected ascent step on the dual variables.
     """
-    if bundle is None:
-        bundle = ModelBundle(data.task, dims or default_dims(data), seed=cfg.seed)
-    outer_opt, inner_opt = _make_optimizers(cfg, bundle)
-    rob = cfg.robustness
-    log = TrainLog()
-    step = 0
-    for epoch in range(cfg.epochs):
-        for idx in _minibatches(len(data.train), cfg.batch_size, _stream(cfg.seed, TAG_SHUFFLE, epoch)):
-            x = data.train[idx]
-            outer_cost = inner_cost = 0.0
-            for k in range(cfg.sub_steps):
-                t0 = time.perf_counter()
-                outer_opt.zero_grad()
-                val = outer_dual_loss(bundle, x, cfg.channel, rob, cfg.perturb_outer,
-                                      rng=_stream(cfg.seed, TAG_OUTER_CHANNEL, step, k),
-                                      attack_rng=_stream(cfg.seed, TAG_OUTER_ATTACK, step, k))
-                rec = StepRecord(step, "outer", float(val.total.data), val.penalty_term,
-                                 val.expectation_term, rob.lam, rob.gamma, 0.0)
-                _guard(log, rec)
-                val.total.backward()
-                _check_grads(outer_opt, bundle, rec)
-                outer_opt.step()
-                rec.wall_ms = (time.perf_counter() - t0) * 1e3
-                outer_cost = val.mean_cost
-            for k in range(cfg.sub_steps):
-                t0 = time.perf_counter()
-                inner_opt.zero_grad()
-                val = inner_dual_loss(bundle, x, cfg.channel, rob, cfg.perturb_inner,
-                                      rng=_stream(cfg.seed, TAG_INNER_CHANNEL, step, k),
-                                      attack_rng=_stream(cfg.seed, TAG_INNER_ATTACK, step, k))
-                rec = StepRecord(step, "inner", float(val.total.data), val.penalty_term,
-                                 val.expectation_term, rob.lam, rob.gamma, 0.0)
-                _guard(log, rec)
-                val.total.backward()
-                _check_grads(inner_opt, bundle, rec)
-                inner_opt.step()
-                rec.wall_ms = (time.perf_counter() - t0) * 1e3
-                inner_cost = val.mean_cost
-            rob = update_duals(rob, cfg.dual_lr, inner_cost, outer_cost)
-            step += 1
-            if on_step:
-                on_step(step, bundle)
-            _maybe_checkpoint(cfg, bundle, step, checkpoint_dir)
-    return bundle, log
+    return _train_alternating(cfg, data, dims, bundle, checkpoint_dir, on_step, robust=True)
 
 
 def train_erm(cfg: TrainConfig, data: Dataset, dims: ModelDims | None = None,
               bundle: ModelBundle | None = None, checkpoint_dir=None, on_step=None):
     """Clean alternating baseline: the same loop shape and random streams as
     the robust trainer, with plain reconstruction losses and no dual updates."""
-    if bundle is None:
-        bundle = ModelBundle(data.task, dims or default_dims(data), seed=cfg.seed)
-    outer_opt, inner_opt = _make_optimizers(cfg, bundle)
-    rob = cfg.robustness
-    log = TrainLog()
-    step = 0
-    for epoch in range(cfg.epochs):
-        for idx in _minibatches(len(data.train), cfg.batch_size, _stream(cfg.seed, TAG_SHUFFLE, epoch)):
-            x = data.train[idx]
-            for k in range(cfg.sub_steps):
-                t0 = time.perf_counter()
-                outer_opt.zero_grad()
-                total = clean_outer_loss(bundle, x, cfg.channel,
-                                         rng=_stream(cfg.seed, TAG_OUTER_CHANNEL, step, k))
-                value = float(total.data)
-                rec = StepRecord(step, "outer", value, 0.0, value, rob.lam, rob.gamma, 0.0)
-                _guard(log, rec)
-                total.backward()
-                _check_grads(outer_opt, bundle, rec)
-                outer_opt.step()
-                rec.wall_ms = (time.perf_counter() - t0) * 1e3
-            for k in range(cfg.sub_steps):
-                t0 = time.perf_counter()
-                inner_opt.zero_grad()
-                total = clean_inner_loss(bundle, x, cfg.channel,
-                                         rng=_stream(cfg.seed, TAG_INNER_CHANNEL, step, k))
-                value = float(total.data)
-                rec = StepRecord(step, "inner", value, 0.0, value, rob.lam, rob.gamma, 0.0)
-                _guard(log, rec)
-                total.backward()
-                _check_grads(inner_opt, bundle, rec)
-                inner_opt.step()
-                rec.wall_ms = (time.perf_counter() - t0) * 1e3
-            step += 1
-            if on_step:
-                on_step(step, bundle)
-            _maybe_checkpoint(cfg, bundle, step, checkpoint_dir)
-    return bundle, log
+    return _train_alternating(cfg, data, dims, bundle, checkpoint_dir, on_step, robust=False)
 
 
 def train(cfg: TrainConfig, data: Dataset, **kwargs):

@@ -105,6 +105,13 @@ def test_bad_configs_exit_2(tmp_path, capsys):
     assert main(["eval", "--config", str(_cfg_file(tmp_path))]) == 2  # no --ckpt
 
 
+def test_zero_sample_count_is_a_config_error(tmp_path, capsys):
+    cfg = _cfg_file(tmp_path, mode="wasecom", robustness={"use_lse": True},
+                    perturb_inner={"method": "gaussian", "sample_count": 0})
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert "sample_count" in capsys.readouterr().err
+
+
 def test_runtime_failure_exits_1(tmp_path, capsys):
     cfg = _cfg_file(tmp_path)
     junk = tmp_path / "junk.ckpt"

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from wasecom import config as C
+from wasecom import training as TR
 from wasecom.models import TaskKind
 from wasecom.training import Mode
 
@@ -122,3 +123,11 @@ def test_model_dims_derivation_and_override():
     dims = C.model_dims(cfg, data)
     assert dims.seq_len == 6 and dims.semantic_dim % dims.seq_len == 0
     assert dims.input_dim == 6 * cfg.model.embed_dim
+
+
+def test_model_dims_without_overrides_are_the_training_defaults():
+    for doc in ('{"dataset": {"kind": "synthetic", "n": 8, "side": 8}}',
+                '{"task": "text", "dataset": {"kind": "synthetic", "n": 8, "max_len": 6}}'):
+        cfg = C.parse_config(doc)
+        data = C.build_dataset(cfg)
+        assert C.model_dims(cfg, data) == TR.default_dims(data)

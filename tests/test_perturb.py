@@ -170,6 +170,11 @@ def test_spec_validation():
         PerturbSpec(method="fgsm", sample_fraction=1.5)
     with pytest.raises(ValueError):
         PerturbSpec(method="pgd", steps=0)
+    with pytest.raises(ValueError, match="sample_count"):
+        PerturbSpec(method="gaussian", sample_count=0)
+    for eps in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="epsilon_inf"):
+            PerturbSpec(method="fgsm", epsilon_inf=eps)
 
 
 def test_attacked_row_mask_fraction_and_determinism():

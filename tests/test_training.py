@@ -107,10 +107,11 @@ def test_outer_phase_leaves_semantic_params_alone(monkeypatch):
     assert any(not np.array_equal(a, b) for a, b in zip(final_sem, init_sem))
 
 
-def test_degenerate_radii_match_erm_bitwise():
+@pytest.mark.parametrize("sub_steps", [1, 2])
+def test_degenerate_radii_match_erm_bitwise(sub_steps):
     data = _image_data(n=32)
     rob = RobustnessConfig(rho=0.0, mu=0.0)
-    base = dict(epochs=2, batch_size=8, lr=1e-3, seed=7, robustness=rob,
+    base = dict(epochs=2, batch_size=8, lr=1e-3, seed=7, robustness=rob, sub_steps=sub_steps,
                 channel=ChannelConfig(ChannelKind.RAYLEIGH, 10.0))
     traj_w, traj_e = [], []
     _, log_w = TR.train_wasecom(TrainConfig(mode=Mode.WASECOM, **base), data,
@@ -218,6 +219,12 @@ def test_dispatcher_routes_by_mode():
     data = _image_data(n=16)
     _, log_e = train(_cfg(mode=Mode.ERM), data)
     assert all(r.penalty == 0.0 for r in log_e.records)
+    # nonzero radii do not make ERM robust: no penalty and no dual step
+    rob = RobustnessConfig(rho=0.1, mu=0.1, lam=0.5, gamma=0.5)
+    _, log_e = train(_cfg(mode=Mode.ERM, dual_lr=0.5, robustness=rob), data)
+    assert len({r.step for r in log_e.records}) == 2
+    assert all(r.penalty == 0.0 and r.total == r.expectation for r in log_e.records)
+    assert all(r.lam == 0.5 and r.gamma == 0.5 for r in log_e.records)
     _, log_w = train(_cfg(mode=Mode.WASECOM,
                           robustness=RobustnessConfig(rho=0.1, mu=0.1)), data)
     assert all(r.penalty > 0.0 for r in log_w.records)
@@ -399,3 +406,6 @@ def test_config_validation():
         TrainConfig(optimizer="lbfgs")
     with pytest.raises(ValueError, match="sub_steps"):
         TrainConfig(sub_steps=0)
+    for dual_lr in (np.nan, np.inf, -0.01):
+        with pytest.raises(ValueError, match="dual_lr"):
+            TrainConfig(dual_lr=dual_lr)
