@@ -4,9 +4,10 @@ Exact optimal transport and the worst-case-risk dual
 
 worst_case_risk solves, by LP, the maximum of E_Q[loss] over distributions
 Q within a squared-Wasserstein budget of P; dual_value bounds the same
-quantity from above through a one-dimensional lambda search.  On nice
-instances the two meet, and for P = delta_0 with loss(x) = x and radius
-0.5 the common value is known exactly: 0.5.
+quantity from above by evaluating the penalized dual at lambda*, the LP's
+shadow price of the budget.  The two meet to round-off, and for
+P = delta_0 with loss(x) = x and radius 0.5 the common value is known
+exactly: 0.5.
 """
 
 import numpy as np

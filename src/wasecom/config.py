@@ -43,6 +43,12 @@ class ModelSpec:
     hidden_dim: int | None = None
     embed_dim: int = 8
 
+    def __post_init__(self):
+        for name in ("semantic_dim", "signal_dim", "hidden_dim", "embed_dim"):
+            size = getattr(self, name)
+            if size is not None and size <= 0:
+                raise ValueError(f"{name} must be positive, got {size}")
+
 
 @dataclass
 class EvalPlan:

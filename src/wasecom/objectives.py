@@ -37,12 +37,13 @@ class RobustnessConfig:
     lambda_learnable: bool = True
 
     def __post_init__(self):
-        if self.rho < 0 or self.mu < 0:
-            raise ValueError("radii must be nonnegative")
-        if self.lam < 0 or self.gamma < 0:
-            raise ValueError("dual variables must be nonnegative")
-        if self.epsilon_temp <= 0:
-            raise ValueError("epsilon_temp must be positive")
+        # written as `not >=` so that NaN fails too
+        for name in ("rho", "mu", "lam", "gamma"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ValueError(f"{name} must be nonnegative, got {value}")
+        if not self.epsilon_temp > 0:
+            raise ValueError(f"epsilon_temp must be positive, got {self.epsilon_temp}")
 
 
 @dataclass
@@ -68,22 +69,12 @@ def _cost_in_graph(leaf: Tensor, center: np.ndarray) -> Tensor:
     return (leaf - Tensor(center)).square().sum(axis=1)
 
 
-def lse_smooth(values, epsilon_temp: float) -> float:
-    """epsilon * log(mean_k exp(v_k / epsilon)), stabilized by max subtraction.
-
-    Sits in the sandwich max(v) - epsilon*log(K) <= result <= max(v).
-    """
-    v = np.asarray(values, dtype=float)
-    if v.size == 0:
-        raise ValueError("lse_smooth of an empty value set")
-    if epsilon_temp <= 0:
-        raise ValueError("epsilon_temp must be positive")
-    m = v.max()
-    return float(m + epsilon_temp * np.log(np.mean(np.exp((v - m) / epsilon_temp))))
-
-
 def lse_combine(scored: Tensor, epsilon_temp: float) -> Tensor:
-    """In-graph per-sample LSE over axis 0 of a (K, B) score tensor; max is detached."""
+    """In-graph per-sample LSE over axis 0 of a (K, B) score tensor; max is detached.
+
+    Column b is epsilon * log(mean_k exp(v_kb / epsilon)), which sits in the
+    sandwich max_k(v_kb) - epsilon*log(K) <= result <= max_k(v_kb).
+    """
     m = Tensor(scored.data.max(axis=0))
     shifted = T.exp(T.scale(scored - m, 1.0 / epsilon_temp))
     mean_exp = T.scale(shifted.sum(axis=0), 1.0 / scored.data.shape[0])

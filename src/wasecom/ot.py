@@ -5,12 +5,12 @@ simplex written here (no external solver):
 
   * wasserstein_p      balanced transport between two discrete distributions
   * worst_case_risk    max E_Q[loss] over grid-supported Q with W2(P, Q) <= rho
-  * dual_value         the penalized dual  inf_lam { lam rho^2 + E_P[sup ...] }
+  * dual_value         the penalized dual  min_lam { lam rho^2 + E_P[sup ...] }
 
-Because the primal maximization and the dual minimization are computed by
-different routes (simplex vertices vs a lambda grid), comparing them is a
-genuine strong-duality check; the excess-risk sandwich and the neighborhood
-bounds build on the same machinery.
+dual_value reads lam* from the worst-case LP's final basis but evaluates the
+dual objective itself, which bounds the primal from above at every lam >= 0
+(weak duality): primal == dual is a genuine optimality certificate.  The
+excess-risk sandwich and the neighborhood bounds build on the same machinery.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DEFAULT_SUPPORT_CAP = 12
+DUALITY_REL_TOL = 0.02   # release bound on the primal-dual gap (criterion 02)
 _TOL = 1e-9
 
 
@@ -59,7 +60,8 @@ def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 # -------------------------------------------------------------- the simplex
 def _revised_simplex(c, A, b, basis, max_iter=50000):
-    """Minimize c@x subject to Ax = b, x >= 0, from a starting feasible basis.
+    """Minimize c@x s.t. Ax = b, x >= 0 from a feasible basis; return (x, value, y),
+    y being the optimal basis's row multipliers (shadow prices).
 
     Dantzig pricing with a permanent switch to Bland's rule after a stall, so
     degenerate instances cannot cycle.  Basis systems are re-solved densely;
@@ -104,7 +106,7 @@ def _revised_simplex(c, A, b, basis, max_iter=50000):
         raise RuntimeError("simplex iteration limit reached")
     x = np.zeros(n)
     x[basis] = np.linalg.solve(A[:, basis], b)
-    return x, float(c @ x)
+    return x, float(c @ x), y
 
 
 def _northwest_corner(p: np.ndarray, q: np.ndarray):
@@ -143,7 +145,7 @@ def solve_transport(cost: np.ndarray, p: np.ndarray, q: np.ndarray):
         A[m + j, j::n] = 1.0
     b = np.concatenate([p, q[:-1]])
     basis = [i * n + j for i, j in _northwest_corner(p, q)]
-    x, value = _revised_simplex(cost.reshape(-1).copy(), A, b, basis)
+    x, value, _ = _revised_simplex(cost.reshape(-1).copy(), A, b, basis)
     return x.reshape(m, n), value
 
 
@@ -173,26 +175,30 @@ def _loss_on_grid(loss_fn, grid: np.ndarray) -> np.ndarray:
     return vals
 
 
-def worst_case_risk(P: DiscreteDistribution, loss_fn, radius: float, grid: np.ndarray):
-    """Exact max of E_Q[loss] over Q on the grid with W2(P, Q) <= radius.
-
-    Solved as an LP over transport plans: rows are P's atoms, columns grid
-    points, with the quadratic-cost budget radius^2 as one extra constraint.
-    Returns (value, plan).
-    """
+def _nearest_in_budget(P: DiscreteDistribution, C: np.ndarray, radius: float):
+    """Each atom's nearest grid point, the cost of that plan and the budget."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    C = _grid_costs(P, grid)
-    lvals = _loss_on_grid(loss_fn, grid)
-    m, g = C.shape
-    budget = radius**2
     nearest = C.argmin(axis=1)
-    base_cost = float(P.weights @ C[np.arange(m), nearest])
+    base_cost = float(P.weights @ C[np.arange(len(C)), nearest])
+    budget = radius**2
     if base_cost > budget + 1e-12:
         raise ValueError(
             f"grid cannot represent any distribution inside the ball: minimal "
             f"transport cost {base_cost:.6g} exceeds budget {budget:.6g}")
+    return nearest, base_cost, budget
+
+
+def _dual_objective(w: np.ndarray, lvals: np.ndarray, C: np.ndarray, lam: float, radius):
+    """f(lam) = lam radius^2 + sum_i w_i max_j (lvals_j - lam C_ij)."""
+    return lam * radius**2 + float(w @ np.max(lvals[None, :] - lam * C, axis=1))
+
+
+def _budget_lp(P: DiscreteDistribution, lvals: np.ndarray, C: np.ndarray, radius: float):
+    """max <plan, lvals> s.t. plan rows sum to P.weights, <plan, C> <= radius^2.
+    Returns (value, plan, lam_star), lam_star >= 0 the budget row's shadow price."""
+    m, g = C.shape
+    nearest, _, budget = _nearest_in_budget(P, C, radius)
     n_vars = m * g + 1  # plus the budget slack
     A = np.zeros((m + 1, n_vars))
     for i in range(m):
@@ -202,56 +208,40 @@ def worst_case_risk(P: DiscreteDistribution, loss_fn, radius: float, grid: np.nd
     b = np.concatenate([P.weights, [budget]])
     c = np.concatenate([-np.tile(lvals, m), [0.0]])
     basis = [i * g + int(nearest[i]) for i in range(m)] + [n_vars - 1]
-    x, value = _revised_simplex(c, A, b, basis)
-    return -value, x[:-1].reshape(m, g)
+    x, value, y = _revised_simplex(c, A, b, basis)
+    # the LP minimizes -loss, so the budget row's multiplier is y[m] <= 0
+    return -value, x[:-1].reshape(m, g), max(0.0, -float(y[m]))
 
 
-def default_lambda_grid() -> np.ndarray:
-    return np.logspace(-3.0, 3.0, 64)
+def worst_case_risk(P: DiscreteDistribution, loss_fn, radius: float, grid: np.ndarray):
+    """Exact max of E_Q[loss] over Q on the grid with W2(P, Q) <= radius.
 
-
-def dual_value(P: DiscreteDistribution, loss_fn, radius: float, grid: np.ndarray,
-               lambda_grid: np.ndarray | None = None, refine: bool = True):
-    """Penalized dual  min_lam { lam rho^2 + E_P[max_grid(loss - lam cost)] }.
-
-    The candidate multipliers are a log grid, refined once around the coarse
-    argmin.  Returns (value, lam_star).
+    Solved as an LP over transport plans: rows are P's atoms, columns grid
+    points, with the quadratic-cost budget radius^2 as one extra constraint.
+    Returns (value, plan).
     """
-    C = _grid_costs(P, np.atleast_2d(np.asarray(grid, dtype=float)))
+    return _budget_lp(P, _loss_on_grid(loss_fn, grid), _grid_costs(P, grid), radius)[:2]
+
+
+def dual_value(P: DiscreteDistribution, loss_fn, radius: float, grid: np.ndarray):
+    """Penalized dual  f(lam) = lam rho^2 + E_P[max_grid(loss - lam cost)]  at its minimizer.
+
+    lam* is the worst-case LP's budget shadow price (0 when the budget does not bind).
+    The value is f(lam*), not the LP's value: f bounds the primal from above at every
+    lam >= 0, so agreeing with worst_case_risk certifies both.  Returns (value, lam*).
+    """
+    C = _grid_costs(P, grid)
     lvals = _loss_on_grid(loss_fn, grid)
-    lams = default_lambda_grid() if lambda_grid is None else np.asarray(lambda_grid, dtype=float)
-
-    def evaluate(lam_set):
-        vals = np.empty(len(lam_set))
-        for k, lam in enumerate(lam_set):
-            vals[k] = lam * radius**2 + P.weights @ np.max(lvals[None, :] - lam * C, axis=1)
-        return vals
-
-    vals = evaluate(lams)
-    k = int(np.argmin(vals))
-    best_val, best_lam = float(vals[k]), float(lams[k])
-    if refine and len(lams) > 2:
-        lo = lams[max(k - 1, 0)]
-        hi = lams[min(k + 1, len(lams) - 1)]
-        fine = np.geomspace(max(lo, 1e-12), hi, 64)
-        fvals = evaluate(fine)
-        kf = int(np.argmin(fvals))
-        if fvals[kf] < best_val:
-            best_val, best_lam = float(fvals[kf]), float(fine[kf])
-    return best_val, best_lam
+    _, _, lam = _budget_lp(P, lvals, C, radius)
+    return _dual_objective(P.weights, lvals, C, lam, radius), lam
 
 
 def sample_plans_in_ball(P: DiscreteDistribution, grid: np.ndarray, radius: float,
                          count: int, rng: np.random.Generator):
     """Random feasible transport plans (cost <= radius^2) from P onto the grid."""
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
     C = _grid_costs(P, grid)
     m, g = C.shape
-    nearest = C.argmin(axis=1)
-    base_cost = float(P.weights @ C[np.arange(m), nearest])
-    budget = radius**2
-    if base_cost > budget + 1e-12:
-        raise ValueError("ball too small for this grid")
+    nearest, base_cost, budget = _nearest_in_budget(P, C, radius)
     # Rows are {cell: mass} dicts, each with the sorted list of its cells above
     # 1e-12 (the move sources), and the arithmetic runs on Python floats: the
     # same IEEE operations and draws as on a dense (m, g) plan.
@@ -337,7 +327,6 @@ def check_lemma1(P: DiscreteDistribution, family, member: int, rho: float, lam: 
     Requires lam >= L / rho (the regime where the surrogate tracks the truth).
     """
     rng = rng or np.random.default_rng(0)
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
     C = _grid_costs(P, grid)
     V = np.stack([_loss_on_grid(fn, grid) for fn in family])
     L = lipschitz if lipschitz is not None else estimate_grid_lipschitz(family[member], grid, rng)
@@ -346,10 +335,7 @@ def check_lemma1(P: DiscreteDistribution, family, member: int, rho: float, lam: 
     if lam < L / rho - 1e-12:
         raise ValueError(f"hypothesis violated: lam={lam} is below L/rho={L / rho:.6g}")
 
-    def surrogate(k):
-        return lam * rho**2 + float(P.weights @ np.max(V[k][None, :] - lam * C, axis=1))
-
-    surr = np.array([surrogate(k) for k in range(len(family))])
+    surr = np.array([_dual_objective(P.weights, v, C, lam, rho) for v in V])
     surr_excess = surr[member] - surr.min()
 
     dual, lam_star = dual_value(P, family[member], rho, grid)
@@ -441,8 +427,7 @@ def bundled_instances() -> list[TheoryInstance]:
     ]
 
 
-def run_theory_suite(n_ball_samples: int = 100, seed: int = 0,
-                     rel_tol: float = 0.02) -> list[TheoryCheckReport]:
+def run_theory_suite(n_ball_samples: int = 100, seed: int = 0) -> list[TheoryCheckReport]:
     """Strong duality + dominance checks over every bundled instance."""
     rng = np.random.default_rng(seed)
     reports = []
@@ -460,7 +445,7 @@ def run_theory_suite(n_ball_samples: int = 100, seed: int = 0,
         reports.append(TheoryCheckReport(
             instance=inst.name, primal=primal, dual=dual, lam_star=lam_star,
             gap=gap, rel_gap=rel,
-            assertions={"duality_gap": rel <= rel_tol or gap <= 1e-9,
+            assertions={"duality_gap": rel <= DUALITY_REL_TOL or gap <= 1e-9,
                         "dual_dominates_ball": dominance_ok,
                         "dual_above_primal": dual >= primal - 1e-9},
         ))

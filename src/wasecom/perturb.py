@@ -35,8 +35,10 @@ class PerturbSpec:
 
     def __post_init__(self):
         self.method = PerturbMethod(self.method)
-        if self.radius < 0:
+        if not self.radius >= 0:  # inf is legal, NaN is not
             raise ValueError(f"radius must be nonnegative, got {self.radius}")
+        if not self.step_size >= 0:
+            raise ValueError(f"step_size must be nonnegative, got {self.step_size}")
         if not 0.0 <= self.sample_fraction <= 1.0:
             raise ValueError(f"sample_fraction must be in [0, 1], got {self.sample_fraction}")
         if self.steps < 1:

@@ -140,13 +140,16 @@ class TrainingDiverged(RuntimeError):
 def default_dims(data: Dataset, semantic_dim: int | None = None, signal_dim: int | None = None,
                  hidden_dim: int | None = None, embed_dim: int = 8) -> ModelDims:
     """Model sizes derived from the dataset; a size that is given overrides its default."""
+    def given(size, default):
+        return default if size is None else size
+
     if data.task is TaskKind.IMAGE:
         d = data.feature_dim
-        return ModelDims(d, semantic_dim or max(8, d // 4), signal_dim or max(8, d // 4),
-                         hidden_dim or max(16, d // 2))
+        return ModelDims(d, given(semantic_dim, max(8, d // 4)), given(signal_dim, max(8, d // 4)),
+                         given(hidden_dim, max(16, d // 2)))
     seq = data.train.shape[1]
-    sem = semantic_dim or 4 * seq
-    return ModelDims(seq * embed_dim, sem, signal_dim or sem, hidden_dim or 64,
+    sem = given(semantic_dim, 4 * seq)
+    return ModelDims(seq * embed_dim, sem, given(signal_dim, sem), given(hidden_dim, 64),
                      vocab_size=data.vocab_size, seq_len=seq, embed_dim=embed_dim)
 
 

@@ -105,6 +105,13 @@ def test_bad_configs_exit_2(tmp_path, capsys):
     assert main(["eval", "--config", str(_cfg_file(tmp_path))]) == 2  # no --ckpt
 
 
+@pytest.mark.parametrize("section,value", [("model", {"hidden_dim": -4}),
+                                           ("robustness", {"rho": float("nan")})])
+def test_bad_values_are_config_errors(tmp_path, capsys, section, value):
+    assert main(["train", "--config", str(_cfg_file(tmp_path, **{section: value}))]) == 2
+    assert f"config error: {section}" in capsys.readouterr().err
+
+
 def test_zero_sample_count_is_a_config_error(tmp_path, capsys):
     cfg = _cfg_file(tmp_path, mode="wasecom", robustness={"use_lse": True},
                     perturb_inner={"method": "gaussian", "sample_count": 0})

@@ -62,6 +62,12 @@ def test_invalid_values_become_config_errors():
         C.parse_config('{"robustness": {"rho": -1}}')
     with pytest.raises(C.ConfigError, match="train"):
         C.parse_config('{"train": {"batch_size": 0}}')
+    with pytest.raises(C.ConfigError, match="robustness.*mu"):
+        C.parse_config('{"robustness": {"mu": NaN}}')
+    for key in ("semantic_dim", "signal_dim", "hidden_dim", "embed_dim"):
+        for size in (0, -4):
+            with pytest.raises(C.ConfigError, match=f"model.*{key}"):
+                C.parse_config({"model": {key: size}})
     with pytest.raises(C.ConfigError, match="invalid JSON"):
         C.parse_config("{nope")
 
@@ -131,3 +137,6 @@ def test_model_dims_without_overrides_are_the_training_defaults():
         cfg = C.parse_config(doc)
         data = C.build_dataset(cfg)
         assert C.model_dims(cfg, data) == TR.default_dims(data)
+        # a given size is used as given, never read as "derive"
+        with pytest.raises(ValueError, match="semantic_dim"):
+            TR.default_dims(data, semantic_dim=0)

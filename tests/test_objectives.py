@@ -28,16 +28,30 @@ def test_transport_cost_squared_euclidean():
         O.transport_cost(a, np.zeros((3, 2)))
 
 
+def lse_smooth(values, epsilon_temp: float) -> float:
+    """Reference LSE: epsilon * log(mean_k exp(v_k / epsilon)), stabilized by max subtraction."""
+    v = np.asarray(values, dtype=float)
+    m = v.max()
+    return float(m + epsilon_temp * np.log(np.mean(np.exp((v - m) / epsilon_temp))))
+
+
+def lse_column(values, epsilon_temp: float) -> float:
+    """O.lse_combine on one (K, 1) column of scores."""
+    column = Tensor(np.asarray(values, dtype=float)[:, None])
+    return float(O.lse_combine(column, epsilon_temp).data[0])
+
+
 def test_lse_smooth_two_point_example():
     # eps * log(mean(exp(v/eps))) on {1, 3} at eps=1
     expected = np.log((np.e + np.e**3) / 2.0)
-    assert abs(O.lse_smooth([1.0, 3.0], 1.0) - expected) < 1e-12
+    assert abs(lse_smooth([1.0, 3.0], 1.0) - expected) < 1e-12
+    assert abs(lse_column([1.0, 3.0], 1.0) - expected) < 1e-12
     assert abs(expected - 2.4338) < 1e-4
 
 
 def test_lse_smooth_approaches_max_as_eps_shrinks():
     vals = [0.2, 1.7, -0.4]
-    assert abs(O.lse_smooth(vals, 0.001) - 1.7) < 1e-2
+    assert abs(lse_column(vals, 0.001) - 1.7) < 1e-2
 
 
 def test_lse_sandwich_on_random_sets():
@@ -46,13 +60,13 @@ def test_lse_sandwich_on_random_sets():
         k = int(rng.integers(1, 12))
         v = rng.normal(scale=rng.uniform(0.5, 50), size=k)
         for eps in (1.0, 0.1, 0.01):
-            val = O.lse_smooth(v, eps)
+            val = lse_column(v, eps)
             assert v.max() - eps * np.log(k) - 1e-9 <= val <= v.max() + 1e-9
 
 
 def test_lse_single_value_is_exact_identity():
     for eps in (1.0, 0.1, 0.003):
-        assert O.lse_smooth([2.71], eps) == 2.71
+        assert lse_column([2.71], eps) == 2.71
 
 
 def test_lse_combine_matches_scalar_version():
@@ -61,7 +75,7 @@ def test_lse_combine_matches_scalar_version():
     combined = O.lse_combine(Tensor(np.stack([s.data for s in scored])), 0.1)
     stacked = np.stack([s.data for s in scored])
     for i in range(4):
-        assert abs(combined.data[i] - O.lse_smooth(stacked[:, i], 0.1)) < 1e-12
+        assert abs(combined.data[i] - lse_smooth(stacked[:, i], 0.1)) < 1e-12
 
 
 def test_penalized_sup_one_dimensional_toy():
@@ -191,6 +205,9 @@ def test_robustness_config_validation():
         O.RobustnessConfig(lam=-1.0)
     with pytest.raises(ValueError):
         O.RobustnessConfig(epsilon_temp=0.0)
+    for name in ("rho", "mu", "lam", "gamma", "epsilon_temp"):
+        with pytest.raises(ValueError, match=name):
+            O.RobustnessConfig(**{name: np.nan})
 
 
 def test_text_inner_dual_attacks_embeddings():

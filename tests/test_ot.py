@@ -43,9 +43,10 @@ def _w1_cdf_1d(xs, ps, ys, qs):
 def test_simplex_solves_tiny_lp():
     # min -x1 - x2  s.t.  x1 + x2 + s = 1  ->  optimum -1
     A = np.array([[1.0, 1.0, 1.0]])
-    x, val = ot._revised_simplex(np.array([-1.0, -1.0, 0.0]), A, np.array([1.0]), [2])
+    x, val, y = ot._revised_simplex(np.array([-1.0, -1.0, 0.0]), A, np.array([1.0]), [2])
     assert val == pytest.approx(-1.0, abs=1e-12)
     assert x.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.array_equal(y, [-1.0])  # the row's multiplier
 
 
 def test_northwest_corner_counts_cells():
@@ -252,13 +253,15 @@ def test_weak_duality_on_random_instances():
         assert dual - primal <= 0.02 * max(abs(primal), 1e-9) + 1e-6
 
 
-def test_dual_refinement_never_hurts():
-    grid = ot.grid_1d(-1.0, 1.0, 201)
-    P = _dist([[-0.3], [0.4]])
-    loss = lambda x: abs(float(x[0]))
-    coarse, _ = ot.dual_value(P, loss, 0.3, grid, refine=False)
-    fine, _ = ot.dual_value(P, loss, 0.3, grid, refine=True)
-    assert fine <= coarse + 1e-12
+def test_dual_is_exact_on_bundled_instances():
+    # lam* is the LP's own multiplier, so the dual closes the gap to round-off;
+    # a budget that does not bind (a constant loss) has lam* = 0
+    for inst in ot.bundled_instances():
+        primal, _ = ot.worst_case_risk(inst.P, inst.loss_fn, inst.radius, inst.grid)
+        dual, lam_star = ot.dual_value(inst.P, inst.loss_fn, inst.radius, inst.grid)
+        assert abs(primal - dual) <= 1e-12 * max(1.0, abs(primal)), inst.name
+        if inst.name == "pair-constant":
+            assert lam_star == 0.0
 
 
 def test_finer_grids_tighten_the_primal():

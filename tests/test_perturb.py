@@ -175,6 +175,12 @@ def test_spec_validation():
     for eps in (-0.1, np.nan, np.inf):
         with pytest.raises(ValueError, match="epsilon_inf"):
             PerturbSpec(method="fgsm", epsilon_inf=eps)
+    with pytest.raises(ValueError, match="radius"):
+        PerturbSpec(method="pgd", radius=np.nan)
+    for step in (-0.1, np.nan):
+        with pytest.raises(ValueError, match="step_size"):
+            PerturbSpec(method="pgd", step_size=step)
+    assert PerturbSpec(method="pgd", radius=np.inf).radius == np.inf
 
 
 def test_attacked_row_mask_fraction_and_determinism():
