@@ -56,6 +56,17 @@ def _floats(text: str) -> list[float]:
         raise ConfigError(f"expected comma-separated numbers, got {text!r}") from err
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: a count of at least 1, so a check cannot pass on no work."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="wasecom",
@@ -90,13 +101,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     th = sub.add_parser("check-theory", help="duality and bound checks")
     th.add_argument("--out", help="output directory")
-    th.add_argument("--samples", type=int, default=100,
+    th.add_argument("--samples", type=_positive_int, default=100,
                     help="random in-ball distributions per instance")
     th.add_argument("--seed", type=int, default=0)
 
     gc = sub.add_parser("gradcheck", help="finite-difference autodiff audit")
     gc.add_argument("--out", help="output directory")
-    gc.add_argument("--graphs", type=int, default=50)
+    gc.add_argument("--graphs", type=_positive_int, default=50)
     gc.add_argument("--seed", type=int, default=0)
     return p
 

@@ -25,17 +25,22 @@ class GradCheckResult:
 
 
 def numeric_gradients(forward, leaves: list[np.ndarray], h: float = 1e-5) -> list[np.ndarray]:
-    """Central-difference gradients of a scalar forward map, one leaf at a time."""
+    """Central-difference gradients of a scalar forward map, one leaf at a time.
+
+    The forward passes share one Tensor per leaf over a working copy, bumped
+    in place and restored by assignment after each element.
+    """
+    params = [Tensor(a.copy()) for a in leaves]
     grads = []
-    for k in range(len(leaves)):
-        g = np.zeros_like(leaves[k])
-        flat = g.reshape(-1)
-        for i in range(leaves[k].size):
-            bumped = [a.copy() for a in leaves]
-            bumped[k].reshape(-1)[i] += h
-            hi = float(forward([Tensor(a) for a in bumped]).data)
-            bumped[k].reshape(-1)[i] -= 2 * h
-            lo = float(forward([Tensor(a) for a in bumped]).data)
+    for leaf, param in zip(leaves, params):
+        g = np.zeros_like(leaf)
+        flat, work, orig = g.reshape(-1), param.data.reshape(-1), leaf.reshape(-1)
+        for i in range(leaf.size):
+            work[i] += h
+            hi = float(forward(params).data)
+            work[i] -= 2 * h
+            lo = float(forward(params).data)
+            work[i] = orig[i]
             flat[i] = (hi - lo) / (2 * h)
         grads.append(g)
     return grads

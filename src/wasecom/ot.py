@@ -14,7 +14,6 @@ excess-risk sandwich and the neighborhood bounds build on the same machinery.
 """
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -213,6 +212,12 @@ def _budget_lp(P: DiscreteDistribution, lvals: np.ndarray, C: np.ndarray, radius
     return -value, x[:-1].reshape(m, g), max(0.0, -float(y[m]))
 
 
+def _certified(P: DiscreteDistribution, lvals: np.ndarray, C: np.ndarray, radius: float):
+    """One budget LP: (primal, worst plan, dual f(lam*), lam*)."""
+    primal, plan, lam = _budget_lp(P, lvals, C, radius)
+    return primal, plan, _dual_objective(P.weights, lvals, C, lam, radius), lam
+
+
 def worst_case_risk(P: DiscreteDistribution, loss_fn, radius: float, grid: np.ndarray):
     """Exact max of E_Q[loss] over Q on the grid with W2(P, Q) <= radius.
 
@@ -230,54 +235,72 @@ def dual_value(P: DiscreteDistribution, loss_fn, radius: float, grid: np.ndarray
     The value is f(lam*), not the LP's value: f bounds the primal from above at every
     lam >= 0, so agreeing with worst_case_risk certifies both.  Returns (value, lam*).
     """
-    C = _grid_costs(P, grid)
-    lvals = _loss_on_grid(loss_fn, grid)
-    _, _, lam = _budget_lp(P, lvals, C, radius)
-    return _dual_objective(P.weights, lvals, C, lam, radius), lam
+    return _certified(P, _loss_on_grid(loss_fn, grid), _grid_costs(P, grid), radius)[2:]
+
+
+def _sample_plan_stack(P: DiscreteDistribution, C: np.ndarray, radius: float, count: int,
+                       rng: np.random.Generator) -> np.ndarray:
+    """`count` random feasible plans (cost <= radius^2) over costs C, as (count, m, g).
+
+    Each plan starts from every atom's nearest grid point and takes 4m+8 random
+    moves: a row i and a cell j drawn uniformly, a source drawn uniformly among
+    the row's cells above 1e-12 (in cell order), and a U[0, 1) share of the most
+    mass the source can send to j within the remaining budget.  A move draws its
+    four quantities for all plans at once; rows without a source take no move.
+    Each (plan, row) keeps its cells in slots (cell, mass): one to start, at
+    most one more per move.
+    """
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
+    m, g = C.shape
+    nearest, base_cost, budget = _nearest_in_budget(P, C, radius)
+    n_moves = 4 * m + 8
+    slot = np.arange(n_moves + 1)
+    plan_ix = np.arange(count)
+    cells = np.zeros((count, m, len(slot)), dtype=np.intp)
+    mass = np.zeros((count, m, len(slot)))
+    cells[:, :, 0] = nearest
+    mass[:, :, 0] = P.weights
+    used = np.ones((count, m), dtype=np.intp)
+    left = np.full(count, budget - base_cost)
+    for _move in range(n_moves):
+        i = rng.integers(m, size=count)
+        j = rng.integers(g, size=count)
+        row_cells, row_mass, row_used = cells[plan_ix, i], mass[plan_ix, i], used[plan_ix, i]
+        is_src = row_mass > 1e-12
+        n_src = is_src.sum(axis=1)
+        k = rng.integers(np.maximum(n_src, 1))
+        u = rng.random(count)
+        src_slot = np.argsort(np.where(is_src, row_cells, g), axis=1)[plan_ix, k]
+        src = row_cells[plan_ix, src_slot]
+        src_mass = row_mass[plan_ix, src_slot]
+        extra = C[i, j] - C[i, src]
+        capped = extra > _TOL
+        cap = np.where(capped, np.minimum(src_mass, left / np.where(capped, extra, 1.0)),
+                       src_mass)
+        amount = cap * u
+        p = np.flatnonzero((n_src > 0) & (src != j) & (amount > 0))
+        hit = (row_cells[p] == j[p, None]) & (slot < row_used[p, None])
+        dst_slot = np.where(hit.any(axis=1), hit.argmax(axis=1), row_used[p])
+        ip, a = i[p], amount[p]
+        mass[p, ip, src_slot[p]] -= a
+        mass[p, ip, dst_slot] += a
+        cells[p, ip, dst_slot] = j[p]
+        used[p, ip] = np.maximum(row_used[p], dst_slot + 1)
+        left[p] -= extra[p] * a
+    plans = np.zeros((count, m, g))
+    pp, rr, ss = np.nonzero(slot < used[:, :, None])   # unused slots would hit cell 0
+    plans[pp, rr, cells[pp, rr, ss]] = mass[pp, rr, ss]
+    return plans
 
 
 def sample_plans_in_ball(P: DiscreteDistribution, grid: np.ndarray, radius: float,
                          count: int, rng: np.random.Generator):
-    """Random feasible transport plans (cost <= radius^2) from P onto the grid."""
-    C = _grid_costs(P, grid)
-    m, g = C.shape
-    nearest, base_cost, budget = _nearest_in_budget(P, C, radius)
-    # Rows are {cell: mass} dicts, each with the sorted list of its cells above
-    # 1e-12 (the move sources), and the arithmetic runs on Python floats: the
-    # same IEEE operations and draws as on a dense (m, g) plan.
-    costs = C.tolist()
-    weights = P.weights.tolist()
-    nearest = nearest.tolist()
-    plans = []
-    for _ in range(count):
-        rows = [{k: w} for k, w in zip(nearest, weights)]
-        sources = [[k] if w > 1e-12 else [] for k, w in zip(nearest, weights)]
-        left = budget - base_cost
-        for _move in range(4 * m + 8):
-            i = int(rng.integers(m))
-            j = int(rng.integers(g))
-            row, srcs = rows[i], sources[i]
-            # integers(1) would consume no draw, so a lone source is taken directly
-            src = srcs[0] if len(srcs) == 1 else srcs[int(rng.integers(len(srcs)))]
-            if src == j:
-                continue
-            extra = costs[i][j] - costs[i][src]
-            cap = row[src] if extra <= _TOL else min(row[src], left / extra)
-            amount = cap * rng.random()
-            if amount <= 0:
-                continue
-            row[src] -= amount
-            row[j] = row.get(j, 0.0) + amount
-            left -= extra * amount
-            if row[src] <= 1e-12:
-                srcs.remove(src)
-            if row[j] > 1e-12 and j not in srcs:
-                bisect.insort(srcs, j)
-        plan = np.zeros((m, g))
-        for i, row in enumerate(rows):
-            plan[i, list(row)] = list(row.values())
-        plans.append(plan)
-    return plans
+    """Random feasible transport plans (cost <= radius^2) from P onto the grid.
+
+    Returns a list of `count` (m, g) plans; see _sample_plan_stack for the moves.
+    """
+    return list(_sample_plan_stack(P, _grid_costs(P, grid), radius, count, rng))
 
 
 # ------------------------------------------------------------ theory checks
@@ -338,33 +361,21 @@ def check_lemma1(P: DiscreteDistribution, family, member: int, rho: float, lam: 
     surr = np.array([_dual_objective(P.weights, v, C, lam, rho) for v in V])
     surr_excess = surr[member] - surr.min()
 
-    dual, lam_star = dual_value(P, family[member], rho, grid)
-    primal, worst_plan = worst_case_risk(P, family[member], rho, grid)
+    primal, worst_plan, dual, lam_star = _certified(P, V[member], C, rho)
     bound = 2 * L * rho + abs(lam - lam_star) * rho**2
 
-    plans = sample_plans_in_ball(P, grid, rho, n_plans, rng)
-    plans.append(worst_plan)
     identity = np.zeros_like(worst_plan)
     identity[np.arange(len(P.weights)), C.argmin(axis=1)] = P.weights
-    plans.append(identity)
-
-    fact1a_ok = True
-    sandwich_ok = True
-    worst_gap = 0.0
-    for plan in plans:
-        q = plan.sum(axis=0)
-        true_risks = V @ q
-        if np.any(surr < true_risks - 1e-9):
-            fact1a_ok = False
-        true_excess = true_risks[member] - true_risks.min()
-        gap = abs(true_excess - surr_excess)
-        worst_gap = max(worst_gap, gap)
-        if gap > bound + 1e-12:
-            sandwich_ok = False
+    q = np.concatenate([_sample_plan_stack(P, C, rho, n_plans, rng).sum(axis=1),
+                        [worst_plan.sum(axis=0), identity.sum(axis=0)]])
+    true_risks = q @ V.T                       # (plans, family)
+    fact1a_ok = bool(np.all(surr >= true_risks - 1e-9))
+    true_excess = true_risks[:, member] - true_risks.min(axis=1)
+    gaps = np.abs(true_excess - surr_excess)
+    worst_gap = float(gaps.max())
+    sandwich_ok = bool(np.all(gaps <= bound + 1e-12))
     margin = (bound - worst_gap) / bound if bound > 0 else 0.0
-
-    kr_ok = all(primal <= float(V[member] @ plan.sum(axis=0)) + 2 * L * rho + 1e-9
-                for plan in plans)
+    kr_ok = bool(np.all(primal <= true_risks[:, member] + 2 * L * rho + 1e-9))
 
     return TheoryCheckReport(
         instance=f"lemma-sandwich(member={member},rho={rho},lam={lam})",
@@ -432,16 +443,15 @@ def run_theory_suite(n_ball_samples: int = 100, seed: int = 0) -> list[TheoryChe
     rng = np.random.default_rng(seed)
     reports = []
     for inst in bundled_instances():
-        primal, _ = worst_case_risk(inst.P, inst.loss_fn, inst.radius, inst.grid)
-        dual, lam_star = dual_value(inst.P, inst.loss_fn, inst.radius, inst.grid)
+        C = _grid_costs(inst.P, inst.grid)
+        lvals = _loss_on_grid(inst.loss_fn, inst.grid)
+        primal, _, dual, lam_star = _certified(inst.P, lvals, C, inst.radius)
         gap = abs(primal - dual)
         rel = gap / max(abs(primal), 1e-9)
         dominance_ok = True
         if inst.radius > 0:
-            lvals = _loss_on_grid(inst.loss_fn, inst.grid)
-            for plan in sample_plans_in_ball(inst.P, inst.grid, inst.radius, n_ball_samples, rng):
-                if lvals @ plan.sum(axis=0) > dual + 1e-9:
-                    dominance_ok = False
+            plans = _sample_plan_stack(inst.P, C, inst.radius, n_ball_samples, rng)
+            dominance_ok = bool(np.all(plans.sum(axis=1) @ lvals <= dual + 1e-9))
         reports.append(TheoryCheckReport(
             instance=inst.name, primal=primal, dual=dual, lam_star=lam_star,
             gap=gap, rel_gap=rel,

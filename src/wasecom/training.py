@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import models as M
-from .channel import ChannelConfig, ChannelKind, draw_realization
+from .channel import ChannelConfig, ChannelKind, ChannelRealization, draw_realization
 from .data import Dataset
 from .metrics import MetricsRecord, bleu, psnr_from_mse, ssim
 from .models import ModelBundle, ModelDims, TaskKind, save_checkpoint
@@ -258,10 +258,22 @@ def _attack_label(attack: PerturbSpec | None) -> str:
     return f"{attack.method.value}(eps={attack.radius:g},frac={attack.sample_fraction:g})"
 
 
-def _run_attack(loss_fn, centers: np.ndarray, attack: PerturbSpec, mask: np.ndarray):
+def _attack_rows(frozen: ModelBundle, batch, centers: np.ndarray,
+                 realization: ChannelRealization, attack: PerturbSpec, rows: np.ndarray):
+    """The batch's inputs with only `rows` attacked, each against its own channel draw.
+
+    Every per-sample loss depends on its own row alone, so the attack runs on
+    those rows' slice of the inputs, references and realization.
+    """
+    sub = ChannelRealization(h=realization.h[rows], w=realization.w[rows],
+                             sigma2=realization.sigma2)
+    ref = batch[rows]
+    loss_fn = lambda leaf: M.per_sample_reconstruction_loss(
+        frozen, ref, M.pipeline(frozen, leaf, sub))
     runner = pgd if attack.method is PerturbMethod.PGD else fgsm
-    adv = runner(loss_fn, centers, attack)
-    return np.where(mask[:, None], adv, centers)
+    inputs = centers.copy()
+    inputs[rows] = runner(loss_fn, centers[rows], attack)
+    return inputs
 
 
 def evaluate(bundle: ModelBundle, data, channel_cfg: ChannelConfig,
@@ -297,14 +309,14 @@ def evaluate(bundle: ModelBundle, data, channel_cfg: ChannelConfig,
         power = float(np.mean(u0.data**2))
         realization = draw_realization(channel_cfg, len(batch), bundle.dims.signal_dim,
                                        power, rng)
+        rows = ()
         if attacking:
-            mask = attacked_row_mask(len(batch), attack.sample_fraction,
-                                     _stream(seed, TAG_EVAL_ATTACK, bi))
-            loss_fn = lambda leaf: M.per_sample_reconstruction_loss(
-                frozen, batch, M.pipeline(frozen, leaf, realization))
-            inputs = _run_attack(loss_fn, centers, attack, mask)
+            rows = np.flatnonzero(attacked_row_mask(len(batch), attack.sample_fraction,
+                                                    _stream(seed, TAG_EVAL_ATTACK, bi)))
+        if len(rows):
+            inputs = _attack_rows(frozen, batch, centers, realization, attack, rows)
             out = M.pipeline(frozen, Tensor(inputs), realization)
-        else:
+        else:  # nothing attacked: the clean pass
             out = M.decode_signal(frozen, u0, realization)
 
         if task is TaskKind.IMAGE:

@@ -143,6 +143,19 @@ def test_gradcheck_passes_and_writes_csv(tmp_path, capsys):
     assert "all gradients agree" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [["check-theory", "--samples", "-3"],
+                                  ["check-theory", "--samples", "0"],
+                                  ["gradcheck", "--graphs", "-2"],
+                                  ["gradcheck", "--graphs", "0"],
+                                  ["gradcheck", "--graphs", "two"]])
+def test_checks_without_work_are_usage_errors(argv, capsys):
+    # a check that samples no plan or builds no graph must not report a pass
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "usage" in captured.err.lower()
+    assert "passed" not in captured.out and "agree" not in captured.out
+
+
 def test_log_env_is_accepted(monkeypatch):
     monkeypatch.setenv("WASECOM_LOG", "debug")
     assert main(["gradcheck", "--graphs", "2"]) == 0

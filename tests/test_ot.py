@@ -293,37 +293,44 @@ def test_sampled_plans_stay_feasible():
 
 
 def _reference_sample_plans(P, grid, radius, count, rng):
-    """The sampler drawing each source cell with `rng.choice`."""
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
+    """The sampler's moves replayed plan by plan on dense (m, g) plans.
+
+    Each move draws its rows, cells, source picks and shares for all plans at
+    once, as the sampler does; each plan then applies its own draw, taking its
+    sources from `np.flatnonzero`.
+    """
     C = ot._grid_costs(P, grid)
     m, g = C.shape
     nearest = C.argmin(axis=1)
-    left0 = radius**2 - float(P.weights @ C[np.arange(m), nearest])
-    plans = []
-    for _ in range(count):
-        plan = np.zeros((m, g))
+    left = [radius**2 - float(P.weights @ C[np.arange(m), nearest])] * count
+    plans = [np.zeros((m, g)) for _ in range(count)]
+    for plan in plans:
         plan[np.arange(m), nearest] = P.weights
-        left = left0
-        for _move in range(4 * m + 8):
-            i = int(rng.integers(m))
-            j = int(rng.integers(g))
-            src = int(rng.choice(np.flatnonzero(plan[i] > 1e-12)))
+    for _move in range(4 * m + 8):
+        rows = rng.integers(m, size=count)
+        cols = rng.integers(g, size=count)
+        sources = [np.flatnonzero(plan[i] > 1e-12) for plan, i in zip(plans, rows)]
+        picks = rng.integers([max(len(s), 1) for s in sources])
+        shares = rng.random(count)
+        for p, plan in enumerate(plans):
+            if len(sources[p]) == 0:
+                continue
+            i, j, src = int(rows[p]), int(cols[p]), int(sources[p][picks[p]])
             if src == j:
                 continue
             extra = C[i, j] - C[i, src]
-            cap = plan[i, src] if extra <= ot._TOL else min(plan[i, src], left / extra)
-            amount = cap * rng.uniform()
+            cap = plan[i, src] if extra <= ot._TOL else min(plan[i, src], left[p] / extra)
+            amount = cap * shares[p]
             if amount <= 0:
                 continue
             plan[i, src] -= amount
             plan[i, j] += amount
-            left -= extra * amount
-        plans.append(plan)
+            left[p] -= extra * amount
     return plans
 
 
 @pytest.mark.parametrize("seed", [0, 7, 101])
-def test_sampled_plans_match_choice_reference(seed):
+def test_sampled_plans_match_per_plan_reference(seed):
     for inst in ot.bundled_instances():
         if inst.radius == 0:
             continue
@@ -331,8 +338,8 @@ def test_sampled_plans_match_choice_reference(seed):
                                       np.random.default_rng(seed))
         want = _reference_sample_plans(inst.P, inst.grid, inst.radius, 5,
                                        np.random.default_rng(seed))
+        assert len(got) == 5
         assert all(np.array_equal(a, b) for a, b in zip(got, want)), inst.name
-
 
 
 @pytest.mark.parametrize("seed", [0, 7, 101])
@@ -345,6 +352,35 @@ def test_sampled_plans_match_reference_when_sources_fall_below_threshold(seed):
     want = _reference_sample_plans(P, grid, 0.5, 60, np.random.default_rng(seed))
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
     assert any(np.count_nonzero((0 < plan[1]) & (plan[1] <= 1e-12)) for plan in got)
+
+
+def test_zero_weight_atom_takes_no_move():
+    # worst_case_risk accepts the atom; the sampler used to draw from an empty source set
+    P = DiscreteDistribution(np.array([[-0.5], [0.5]]), np.array([1.0, 0.0]))
+    grid = ot.grid_1d(-1.5, 1.5, 31)
+    got = ot.sample_plans_in_ball(P, grid, 0.4, 20, np.random.default_rng(3))
+    want = _reference_sample_plans(P, grid, 0.4, 20, np.random.default_rng(3))
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert all(not plan[1].any() for plan in got)
+    assert any(np.count_nonzero(plan[0]) > 1 for plan in got)
+    ot.worst_case_risk(P, lambda x: float(x[0]), 0.4, grid)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sampled_plans_are_feasible_on_bundled_instances(seed):
+    rng = np.random.default_rng(seed)
+    for inst in ot.bundled_instances():
+        C = ot._grid_costs(inst.P, inst.grid)
+        for plan in ot.sample_plans_in_ball(inst.P, inst.grid, inst.radius, 20, rng):
+            assert np.all(np.abs(plan.sum(axis=1) - inst.P.weights) <= 1e-12), inst.name
+            assert np.all(plan >= 0.0), inst.name
+            assert float((plan * C).sum()) <= inst.radius**2 + 1e-9, inst.name
+
+
+def test_sampler_rejects_negative_count():
+    with pytest.raises(ValueError, match="count"):
+        ot.sample_plans_in_ball(dirac([0.0]), ot.grid_1d(-1, 1, 11), 0.5, -1,
+                                np.random.default_rng(0))
 
 
 # ------------------------------------------------------------ theory checks
@@ -390,3 +426,13 @@ def test_theory_suite_covers_and_passes():
     assert by_name["pair-constant"].primal == pytest.approx(1.25, abs=1e-9)
     row = reports[0].row()
     assert row.count(",") >= 5 and "ok" in row
+
+
+def test_theory_suite_matches_the_public_calls_bitwise():
+    # the suite solves each instance's LP once; its numbers are those of the
+    # two public calls, which solve it separately
+    for inst, rep in zip(ot.bundled_instances(), ot.run_theory_suite(n_ball_samples=5)):
+        primal, _ = ot.worst_case_risk(inst.P, inst.loss_fn, inst.radius, inst.grid)
+        dual, lam_star = ot.dual_value(inst.P, inst.loss_fn, inst.radius, inst.grid)
+        assert rep.instance == inst.name
+        assert (rep.primal, rep.dual, rep.lam_star) == (primal, dual, lam_star), inst.name

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wasecom import tensor as T
+from wasecom import gradcheck, tensor as T
 from wasecom.tensor import Tensor
 from wasecom.optim import Adam, Sgd
 from wasecom.gradcheck import check_case, numeric_gradients, random_graph_suite
@@ -287,6 +287,36 @@ def test_finite_difference_harness_on_known_gradient():
     x0 = np.array([0.3, -0.7])
     (g,) = numeric_gradients(lambda p: p[0].square().sum(), [x0])
     assert np.allclose(g, 2 * x0, atol=1e-8)
+
+
+def _numeric_gradients_with_fresh_copies(forward, leaves, h=1e-5):
+    """The finite-difference loop that copies every leaf for every forward pass."""
+    grads = []
+    for k in range(len(leaves)):
+        g = np.zeros_like(leaves[k])
+        flat = g.reshape(-1)
+        for i in range(leaves[k].size):
+            bumped = [a.copy() for a in leaves]
+            bumped[k].reshape(-1)[i] += h
+            hi = float(forward([Tensor(a) for a in bumped]).data)
+            bumped[k].reshape(-1)[i] -= 2 * h
+            lo = float(forward([Tensor(a) for a in bumped]).data)
+            flat[i] = (hi - lo) / (2 * h)
+        grads.append(g)
+    return grads
+
+
+def test_numeric_gradients_bump_in_place_bitwise():
+    # the shared working copy must give the same bits as fresh copies, and
+    # leave the caller's leaves untouched
+    rng = np.random.default_rng(17)
+    for make in gradcheck._CASES * 2:
+        name, forward, leaves = make(rng)
+        before = [a.copy() for a in leaves]
+        got = numeric_gradients(forward, leaves)
+        want = _numeric_gradients_with_fresh_copies(forward, leaves)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), name
+        assert all(np.array_equal(a, b) for a, b in zip(leaves, before)), name
 
 
 def test_gradcheck_smoke_suite():

@@ -12,7 +12,7 @@ from wasecom.data import generate_synthetic_images, generate_synthetic_text
 from wasecom.metrics import bleu, ssim
 from wasecom.models import ModelBundle, ModelDims, load_checkpoint
 from wasecom.objectives import RobustnessConfig
-from wasecom.perturb import PerturbMethod, PerturbSpec, attacked_row_mask
+from wasecom.perturb import PerturbMethod, PerturbSpec, attacked_row_mask, fgsm, pgd
 from wasecom.tensor import Tensor
 from wasecom.training import Mode, TrainConfig, TrainingDiverged, evaluate, train
 
@@ -325,8 +325,9 @@ def test_unattacked_specs_run_and_are_labelled_clean(attack):
 
 
 def _reference_evaluate(bundle, samples, channel_cfg, attack, seed, batch_size):
-    """The per-item evaluate loop: a second encoder pass on clean batches, one
-    `ssim` call per image and one `bleu` call per sentence."""
+    """The per-item evaluate loop: a second encoder pass on clean batches, an
+    attack on every row of an attacked batch, one `ssim` call per image and one
+    `bleu` call per sentence."""
     frozen = bundle.frozen()
     image = bundle.task is M.TaskKind.IMAGE
     side = int(round(np.sqrt(bundle.dims.input_dim)))
@@ -355,9 +356,11 @@ def _reference_evaluate(bundle, samples, channel_cfg, attack, seed, batch_size):
         if attack is not None:
             mask = attacked_row_mask(len(batch), attack.sample_fraction,
                                      TR._stream(seed, TR.TAG_EVAL_ATTACK, bi))
-            inputs = TR._run_attack(
-                lambda leaf: M.per_sample_reconstruction_loss(frozen, batch, forward(leaf)),
-                centers, attack, mask)
+            # the attack runs on the whole batch; only the masked rows keep its result
+            runner = pgd if attack.method is PerturbMethod.PGD else fgsm
+            adv = runner(lambda leaf: M.per_sample_reconstruction_loss(frozen, batch, forward(leaf)),
+                         centers, attack)
+            inputs = np.where(mask[:, None], adv, centers)
         out = forward(Tensor(inputs))
         if image:
             se_sum += float(np.mean((out.data - batch) ** 2, axis=1).sum())
@@ -379,6 +382,11 @@ def _reference_evaluate(bundle, samples, channel_cfg, attack, seed, batch_size):
     (ChannelKind.RAYLEIGH, None),
     (ChannelKind.AWGN, PerturbSpec(PerturbMethod.FGSM, radius=0.3, epsilon_inf=0.1,
                                    sample_fraction=0.5)),
+    (ChannelKind.RAYLEIGH, PerturbSpec(PerturbMethod.PGD, radius=0.3, steps=2,
+                                       sample_fraction=0.3)),
+    # round(0.05 * 8) = 0 rows: the attacked cell is the clean pass
+    (ChannelKind.AWGN, PerturbSpec(PerturbMethod.FGSM, radius=0.3, epsilon_inf=0.1,
+                                   sample_fraction=0.05)),
 ])
 def test_batched_evaluate_matches_per_item_reference(task, kind, attack):
     if task == "image":
