@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sw, needs_ckpt=True)
     sw.add_argument("--snr", type=_floats, help="comma list, e.g. 0,10,20")
     sw.add_argument("--attack-eps", type=_floats, help="comma list, e.g. 0,0.1")
-    sw.add_argument("--workers", type=int, default=1,
+    sw.add_argument("--workers", type=_positive_int, default=1,
                     help="process count for sweep cells")
 
     th = sub.add_parser("check-theory", help="duality and bound checks")

@@ -9,6 +9,7 @@ is reserved in Python.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,6 +36,12 @@ class DatasetSpec:
     max_len: int = 12
     path: str | None = None
 
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"n must be at least 1, got {self.n}")
+        if self.side < 2:
+            raise ValueError(f"side must be at least 2, got {self.side}")
+
 
 @dataclass
 class ModelSpec:
@@ -57,6 +64,15 @@ class EvalPlan:
     attack_fraction: float = 0.1
     batch_size: int = 64
 
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if not 0.0 <= self.attack_fraction <= 1.0:
+            raise ValueError(f"attack_fraction must lie in [0, 1], got {self.attack_fraction}")
+        for name in ("snr_db", "attack_eps"):
+            if not all(math.isfinite(v) for v in getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+
 
 @dataclass
 class ExperimentConfig:
@@ -69,28 +85,10 @@ class ExperimentConfig:
     eval_plan: EvalPlan = field(default_factory=EvalPlan)
 
 
-_SECTION_KEYS = {
-    "top level": {"run_id", "out_dir", "seed", "mode", "task", "dataset", "model",
-                  "train", "channel", "robustness", "perturb_inner", "perturb_outer",
-                  "eval"},
-    "dataset": {"kind", "n", "side", "vocab_size", "max_len", "path"},
-    "model": {"semantic_dim", "signal_dim", "hidden_dim", "embed_dim"},
-    "train": {"epochs", "batch_size", "lr", "optimizer", "sub_steps", "dual_lr",
-              "checkpoint_every"},
-    "channel": {"kind", "snr_db"},
-    "robustness": {"rho", "mu", "lambda", "gamma", "epsilon_temp", "use_lse",
-                   "lambda_learnable"},
-    "perturb": {"method", "radius", "epsilon_inf", "step_size", "steps",
-                "sample_count", "sample_fraction"},
-    "eval": {"snr_db", "attack_eps", "attack_fraction", "batch_size"},
-}
-
-
 def _checked(section: dict, name: str) -> dict:
     if not isinstance(section, dict):
         raise ConfigError(f"{name} must be a JSON object")
-    allowed = _SECTION_KEYS["perturb" if name.startswith("perturb") else name]
-    unknown = set(section) - allowed
+    unknown = set(section) - _SECTION_KEYS[name]
     if unknown:
         raise ConfigError(f"unknown key(s) in {name}: {sorted(unknown)}")
     return section
@@ -187,6 +185,13 @@ def _perturb_dict(spec: PerturbSpec) -> dict:
             "epsilon_inf": spec.epsilon_inf, "step_size": spec.step_size,
             "steps": spec.steps, "sample_count": spec.sample_count,
             "sample_fraction": spec.sample_fraction}
+
+
+# The schema is what serialization writes: the top-level keys and those of each
+# section of the default config's canonical form.
+_DEFAULT_CANONICAL = to_canonical_dict(ExperimentConfig())
+_SECTION_KEYS = {"top level": set(_DEFAULT_CANONICAL)} | {
+    name: set(section) for name, section in _DEFAULT_CANONICAL.items() if isinstance(section, dict)}
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:

@@ -27,15 +27,14 @@ _TOL = 1e-9
 class DiscreteDistribution:
     support: np.ndarray          # (n, d) points
     weights: np.ndarray          # (n,) probabilities
-    max_support: int = DEFAULT_SUPPORT_CAP
 
     def __post_init__(self):
         self.support = np.atleast_2d(np.asarray(self.support, dtype=float))
         self.weights = np.asarray(self.weights, dtype=float)
         if len(self.support) != len(self.weights):
             raise ValueError("support and weights must have equal length")
-        if len(self.support) > self.max_support:
-            raise ValueError(f"support size {len(self.support)} exceeds cap {self.max_support}")
+        if len(self.support) > DEFAULT_SUPPORT_CAP:
+            raise ValueError(f"support size {len(self.support)} exceeds cap {DEFAULT_SUPPORT_CAP}")
         if not np.all(np.isfinite(self.support)):
             raise ValueError("support contains non-finite points")
         if np.any(self.weights < -1e-12):

@@ -1,8 +1,12 @@
 """Reverse-mode automatic differentiation on float64 numpy arrays.
 
-Graphs are built define-by-run: every op returns a new Tensor that remembers
-its parents and a closure that routes upstream gradient to them.  backward()
-walks the graph once in reverse topological order.
+Graphs are built define-by-run: every op computes its value and builds its
+result through `_node`, which puts it on the tape only when a parent needs a
+graph.  A node remembers its parents and a closure `_bw(g)` that takes the
+node's gradient and routes it to them; the closure never refers to the result
+itself, so a graph holds no reference cycle and is freed by refcount as soon
+as it is dropped.  backward() walks the graph once in reverse topological
+order.
 """
 from __future__ import annotations
 
@@ -12,11 +16,11 @@ import numpy as np
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_backward_ran")
 
-    def __init__(self, data, requires_grad: bool = False, _parents: tuple = ()):
+    def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros_like(self.data) if self.requires_grad else None
-        self._parents = _parents
+        self._parents = ()
         self._backward = None
         self._backward_ran = False
 
@@ -49,14 +53,6 @@ class Tensor:
 
     # ------------------------------------------------------------- factories
     @classmethod
-    def zeros(cls, *shape, requires_grad=False):
-        return cls(np.zeros(shape), requires_grad=requires_grad)
-
-    @classmethod
-    def ones(cls, *shape, requires_grad=False):
-        return cls(np.ones(shape), requires_grad=requires_grad)
-
-    @classmethod
     def uniform_init(cls, rng: np.random.Generator, fan_in: int, fan_out: int, requires_grad=True):
         # Xavier-style uniform init for a (fan_in, fan_out) weight matrix.
         bound = np.sqrt(6.0 / (fan_in + fan_out))
@@ -72,7 +68,7 @@ class Tensor:
         self._accumulate(np.ones_like(self.data))
         for node in reversed(order):
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
         self._backward_ran = True
 
     # ----------------------------------------------------------- arithmetic
@@ -158,6 +154,15 @@ def _needs_graph(*tensors) -> bool:
     return False
 
 
+def _node(data, parents: tuple, backward) -> Tensor:
+    """The op result: on the tape with `backward` if any parent needs a graph."""
+    out = Tensor(data)
+    if _needs_graph(*parents):
+        out._parents = parents
+        out._backward = backward
+    return out
+
+
 def _reduce_grad_to(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a broadcast gradient back down to the operand's original shape."""
     extra = g.ndim - len(shape)
@@ -179,17 +184,14 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         data = a.data + b.data
     except ValueError:
         raise _incompatible("add", a, b) from None
-    out = Tensor(data, _parents=(a, b) if _needs_graph(a, b) else ())
 
-    def _bw():
-        if a.requires_grad or a._parents:
-            a._accumulate(_reduce_grad_to(out.grad, a.data.shape))
-        if b.requires_grad or b._parents:
-            b._accumulate(_reduce_grad_to(out.grad, b.data.shape))
+    def _bw(g):
+        if _needs_graph(a):
+            a._accumulate(_reduce_grad_to(g, a.data.shape))
+        if _needs_graph(b):
+            b._accumulate(_reduce_grad_to(g, b.data.shape))
 
-    if out._parents:
-        out._backward = _bw
-    return out
+    return _node(data, (a, b), _bw)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -197,17 +199,14 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         data = a.data - b.data
     except ValueError:
         raise _incompatible("sub", a, b) from None
-    out = Tensor(data, _parents=(a, b) if _needs_graph(a, b) else ())
 
-    def _bw():
-        if a.requires_grad or a._parents:
-            a._accumulate(_reduce_grad_to(out.grad, a.data.shape))
-        if b.requires_grad or b._parents:
-            b._accumulate(_reduce_grad_to(-out.grad, b.data.shape))
+    def _bw(g):
+        if _needs_graph(a):
+            a._accumulate(_reduce_grad_to(g, a.data.shape))
+        if _needs_graph(b):
+            b._accumulate(_reduce_grad_to(-g, b.data.shape))
 
-    if out._parents:
-        out._backward = _bw
-    return out
+    return _node(data, (a, b), _bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -215,45 +214,38 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         data = a.data * b.data
     except ValueError:
         raise _incompatible("mul", a, b) from None
-    out = Tensor(data, _parents=(a, b) if _needs_graph(a, b) else ())
 
-    def _bw():
-        if a.requires_grad or a._parents:
-            a._accumulate(_reduce_grad_to(out.grad * b.data, a.data.shape))
-        if b.requires_grad or b._parents:
-            b._accumulate(_reduce_grad_to(out.grad * a.data, b.data.shape))
+    def _bw(g):
+        if _needs_graph(a):
+            a._accumulate(_reduce_grad_to(g * b.data, a.data.shape))
+        if _needs_graph(b):
+            b._accumulate(_reduce_grad_to(g * a.data, b.data.shape))
 
-    if out._parents:
-        out._backward = _bw
-    return out
+    return _node(data, (a, b), _bw)
 
 
 def scale(a: Tensor, k: float) -> Tensor:
     k = float(k)
-    out = Tensor(a.data * k, _parents=(a,) if _needs_graph(a) else ())
+    data = a.data * k
 
-    def _bw():
-        a._accumulate(out.grad * k)
+    def _bw(g):
+        a._accumulate(g * k)
 
-    if out._parents:
-        out._backward = _bw
-    return out
+    return _node(data, (a,), _bw)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise _incompatible("matmul", a, b)
-    out = Tensor(a.data @ b.data, _parents=(a, b) if _needs_graph(a, b) else ())
+    data = a.data @ b.data
 
-    def _bw():
-        if a.requires_grad or a._parents:
-            a._accumulate(out.grad @ b.data.T)
-        if b.requires_grad or b._parents:
-            b._accumulate(a.data.T @ out.grad)
+    def _bw(g):
+        if _needs_graph(a):
+            a._accumulate(g @ b.data.T)
+        if _needs_graph(b):
+            b._accumulate(a.data.T @ g)
 
-    if out._parents:
-        out._backward = _bw
-    return out
+    return _node(data, (a, b), _bw)
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor, activation: str | None = None) -> Tensor:
@@ -277,24 +269,20 @@ def dense(x: Tensor, w: Tensor, b: Tensor, activation: str | None = None) -> Ten
         y = np.maximum(pre, 0.0)
     else:
         y = pre
-    out = Tensor(y, _parents=(x, w, b) if _needs_graph(x, w, b) else ())
 
-    def _bw():
-        g = out.grad
+    def _bw(g):
         if activation == "tanh":
             g = g * (1.0 - y * y)
         elif activation == "relu":
             g = g * (pre > 0)
-        if b.requires_grad or b._parents:
+        if _needs_graph(b):
             b._accumulate(_reduce_grad_to(g, b.data.shape))
-        if x.requires_grad or x._parents:
+        if _needs_graph(x):
             x._accumulate(g @ w.data.T)
-        if w.requires_grad or w._parents:
+        if _needs_graph(w):
             w._accumulate(x.data.T @ g)
 
-    if out._parents:
-        out._backward = _bw
-    return out
+    return _node(y, (x, w, b), _bw)
 
 
 def rms_normalize(a: Tensor, eps: float) -> Tensor:
@@ -310,18 +298,15 @@ def rms_normalize(a: Tensor, eps: float) -> Tensor:
     power = (a.data * a.data).mean(axis=1) + float(eps)
     exponent = -0.5
     scale_col = (power ** exponent).reshape(b, 1)
-    out = Tensor(a.data * scale_col, _parents=(a,) if _needs_graph(a) else ())
+    data = a.data * scale_col
 
-    def _bw():
-        g = out.grad
+    def _bw(g):
         g_scale = _reduce_grad_to(g * a.data, scale_col.shape).reshape(b)
         g_power = g_scale * exponent * power ** (exponent - 1.0)
         g_square = np.broadcast_to(np.expand_dims(g_power, 1), a.data.shape) / d
         a._accumulate(g * scale_col + g_square * (2.0 * a.data))
 
-    if out._parents:
-        out._backward = _bw
-    return out
+    return _node(data, (a,), _bw)
 
 
 def scale_shift(a: Tensor, h: np.ndarray, w: np.ndarray) -> Tensor:
@@ -339,14 +324,11 @@ def scale_shift(a: Tensor, h: np.ndarray, w: np.ndarray) -> Tensor:
         data = prod + w
     except ValueError:
         raise ValueError(f"add: incompatible shapes {prod.shape} and {w.shape}") from None
-    out = Tensor(data, _parents=(a,) if _needs_graph(a) else ())
 
-    def _bw():
-        a._accumulate(_reduce_grad_to(_reduce_grad_to(out.grad, prod.shape) * h, a.data.shape))
+    def _bw(g):
+        a._accumulate(_reduce_grad_to(_reduce_grad_to(g, prod.shape) * h, a.data.shape))
 
-    if out._parents:
-        out._backward = _bw
-    return out
+    return _node(data, (a,), _bw)
 
 
 def row_mse(a: Tensor, b: Tensor) -> Tensor:
@@ -358,128 +340,104 @@ def row_mse(a: Tensor, b: Tensor) -> Tensor:
         diff = a.data - b.data
     except ValueError:
         raise _incompatible("sub", a, b) from None
-    out = Tensor((diff * diff).mean(axis=1), _parents=(a, b) if _needs_graph(a, b) else ())
+    data = (diff * diff).mean(axis=1)
 
-    def _bw():
-        g = np.broadcast_to(np.expand_dims(out.grad, 1), diff.shape) / diff.shape[1]
+    def _bw(g):
+        g = np.broadcast_to(np.expand_dims(g, 1), diff.shape) / diff.shape[1]
         g = g * (2.0 * diff)
-        if a.requires_grad or a._parents:
+        if _needs_graph(a):
             a._accumulate(_reduce_grad_to(g, a.data.shape))
-        if b.requires_grad or b._parents:
+        if _needs_graph(b):
             b._accumulate(_reduce_grad_to(-g, b.data.shape))
 
-    if out._parents:
-        out._backward = _bw
-    return out
+    return _node(data, (a, b), _bw)
 
 
 def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.data, 0.0), _parents=(a,) if _needs_graph(a) else ())
+    data = np.maximum(a.data, 0.0)
 
-    def _bw():
-        a._accumulate(out.grad * (a.data > 0))
+    def _bw(g):
+        a._accumulate(g * (a.data > 0))
 
-    if out._parents:
-        out._backward = _bw
-    return out
+    return _node(data, (a,), _bw)
 
 
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
-    out = Tensor(y, _parents=(a,) if _needs_graph(a) else ())
 
-    def _bw():
-        a._accumulate(out.grad * (1.0 - y * y))
+    def _bw(g):
+        a._accumulate(g * (1.0 - y * y))
 
-    if out._parents:
-        out._backward = _bw
-    return out
+    return _node(y, (a,), _bw)
 
 
 def exp(a: Tensor) -> Tensor:
     y = np.exp(a.data)
-    out = Tensor(y, _parents=(a,) if _needs_graph(a) else ())
 
-    def _bw():
-        a._accumulate(out.grad * y)
+    def _bw(g):
+        a._accumulate(g * y)
 
-    if out._parents:
-        out._backward = _bw
-    return out
+    return _node(y, (a,), _bw)
 
 
 def log(a: Tensor) -> Tensor:
-    out = Tensor(np.log(a.data), _parents=(a,) if _needs_graph(a) else ())
+    data = np.log(a.data)
 
-    def _bw():
-        a._accumulate(out.grad / a.data)
+    def _bw(g):
+        a._accumulate(g / a.data)
 
-    if out._parents:
-        out._backward = _bw
-    return out
+    return _node(data, (a,), _bw)
 
 
 def square(a: Tensor) -> Tensor:
-    out = Tensor(a.data * a.data, _parents=(a,) if _needs_graph(a) else ())
+    data = a.data * a.data
 
-    def _bw():
-        a._accumulate(out.grad * (2.0 * a.data))
+    def _bw(g):
+        a._accumulate(g * (2.0 * a.data))
 
-    if out._parents:
-        out._backward = _bw
-    return out
+    return _node(data, (a,), _bw)
 
 
 def power(a: Tensor, exponent: float) -> Tensor:
     exponent = float(exponent)
-    out = Tensor(a.data ** exponent, _parents=(a,) if _needs_graph(a) else ())
+    data = a.data ** exponent
 
-    def _bw():
-        a._accumulate(out.grad * exponent * a.data ** (exponent - 1.0))
+    def _bw(g):
+        a._accumulate(g * exponent * a.data ** (exponent - 1.0))
 
-    if out._parents:
-        out._backward = _bw
-    return out
+    return _node(data, (a,), _bw)
 
 
 def tsum(a: Tensor, axis=None) -> Tensor:
-    out = Tensor(a.data.sum(axis=axis), _parents=(a,) if _needs_graph(a) else ())
+    data = a.data.sum(axis=axis)
 
-    def _bw():
-        g = out.grad
+    def _bw(g):
         if axis is not None:
             g = np.expand_dims(g, axis)
         a._accumulate(np.broadcast_to(g, a.data.shape))
 
-    if out._parents:
-        out._backward = _bw
-    return out
+    return _node(data, (a,), _bw)
 
 
 def tmean(a: Tensor, axis=None) -> Tensor:
     count = a.data.size if axis is None else a.data.shape[axis]
-    out = Tensor(a.data.mean(axis=axis), _parents=(a,) if _needs_graph(a) else ())
+    data = a.data.mean(axis=axis)
 
-    def _bw():
-        g = out.grad
+    def _bw(g):
         if axis is not None:
             g = np.expand_dims(g, axis)
         a._accumulate(np.broadcast_to(g, a.data.shape) / count)
 
-    if out._parents:
-        out._backward = _bw
-    return out
+    return _node(data, (a,), _bw)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    out = Tensor(a.data.reshape(shape), _parents=(a,) if _needs_graph(a) else ())
+    data = a.data.reshape(shape)
 
-    def _bw():
-        a._accumulate(out.grad.reshape(a.data.shape))
+    def _bw(g):
+        a._accumulate(g.reshape(a.data.shape))
 
-    if out._parents:
-        out._backward = _bw
-    return out
+    return _node(data, (a,), _bw)
 
 
 def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -487,16 +445,14 @@ def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
     ids = np.asarray(ids)
     if ids.ndim != 1:
         raise ValueError(f"gather_rows: ids must be 1-D, got shape {ids.shape}")
-    out = Tensor(table.data[ids], _parents=(table,) if _needs_graph(table) else ())
+    data = table.data[ids]
 
-    def _bw():
-        g = np.zeros_like(table.data)
-        np.add.at(g, ids, out.grad)
-        table._accumulate(g)
+    def _bw(g):
+        g_table = np.zeros_like(table.data)
+        np.add.at(g_table, ids, g)
+        table._accumulate(g_table)
 
-    if out._parents:
-        out._backward = _bw
-    return out
+    return _node(data, (table,), _bw)
 
 
 def select_columns(a: Tensor, ids: np.ndarray) -> Tensor:
@@ -504,16 +460,14 @@ def select_columns(a: Tensor, ids: np.ndarray) -> Tensor:
     ids = np.asarray(ids)
     n = a.data.shape[0]
     rows = np.arange(n)
-    out = Tensor(a.data[rows, ids], _parents=(a,) if _needs_graph(a) else ())
+    data = a.data[rows, ids]
 
-    def _bw():
-        g = np.zeros_like(a.data)
-        g[rows, ids] = out.grad
-        a._accumulate(g)
+    def _bw(g):
+        g_a = np.zeros_like(a.data)
+        g_a[rows, ids] = g
+        a._accumulate(g_a)
 
-    if out._parents:
-        out._backward = _bw
-    return out
+    return _node(data, (a,), _bw)
 
 
 def logsumexp(a: Tensor) -> Tensor:
@@ -521,12 +475,10 @@ def logsumexp(a: Tensor) -> Tensor:
     m = a.data.max(axis=-1, keepdims=True)
     e = np.exp(a.data - m)
     s = e.sum(axis=-1)
-    out = Tensor(m.squeeze(-1) + np.log(s), _parents=(a,) if _needs_graph(a) else ())
+    data = m.squeeze(-1) + np.log(s)
 
-    def _bw():
+    def _bw(g):
         soft = e / s[..., None]
-        a._accumulate(out.grad[..., None] * soft)
+        a._accumulate(g[..., None] * soft)
 
-    if out._parents:
-        out._backward = _bw
-    return out
+    return _node(data, (a,), _bw)

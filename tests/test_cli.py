@@ -106,10 +106,20 @@ def test_bad_configs_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("section,value", [("model", {"hidden_dim": -4}),
-                                           ("robustness", {"rho": float("nan")})])
+                                           ("robustness", {"rho": float("nan")}),
+                                           ("eval", {"batch_size": 0}),
+                                           ("eval", {"attack_fraction": 2.0}),
+                                           ("dataset", {"n": 0})])
 def test_bad_values_are_config_errors(tmp_path, capsys, section, value):
     assert main(["train", "--config", str(_cfg_file(tmp_path, **{section: value}))]) == 2
     assert f"config error: {section}" in capsys.readouterr().err
+
+
+def test_sweep_rejects_a_bad_eval_plan_before_training(tmp_path, capsys):
+    cfg = _cfg_file(tmp_path, eval={"attack_fraction": 2.0})
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert "config error: eval" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_zero_sample_count_is_a_config_error(tmp_path, capsys):
@@ -147,7 +157,9 @@ def test_gradcheck_passes_and_writes_csv(tmp_path, capsys):
                                   ["check-theory", "--samples", "0"],
                                   ["gradcheck", "--graphs", "-2"],
                                   ["gradcheck", "--graphs", "0"],
-                                  ["gradcheck", "--graphs", "two"]])
+                                  ["gradcheck", "--graphs", "two"],
+                                  ["sweep", "--workers", "0"],
+                                  ["sweep", "--workers", "-2"]])
 def test_checks_without_work_are_usage_errors(argv, capsys):
     # a check that samples no plan or builds no graph must not report a pass
     assert main(argv) == 2

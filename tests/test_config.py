@@ -68,6 +68,14 @@ def test_invalid_values_become_config_errors():
         for size in (0, -4):
             with pytest.raises(C.ConfigError, match=f"model.*{key}"):
                 C.parse_config({"model": {key: size}})
+    for section, key, value in (("eval", "batch_size", 0), ("eval", "attack_fraction", 2.0),
+                                ("eval", "attack_fraction", -0.1),
+                                ("eval", "attack_fraction", float("nan")),
+                                ("eval", "snr_db", [0.0, float("inf")]),
+                                ("eval", "attack_eps", [float("nan")]),
+                                ("dataset", "n", 0), ("dataset", "side", 1)):
+        with pytest.raises(C.ConfigError, match=f"{section}: {key}"):
+            C.parse_config({section: {key: value}})
     with pytest.raises(C.ConfigError, match="invalid JSON"):
         C.parse_config("{nope")
 

@@ -1,3 +1,6 @@
+import gc
+import inspect
+
 import numpy as np
 import pytest
 
@@ -216,10 +219,42 @@ def test_fused_ops_shape_errors_keep_chain_messages():
 
 
 def test_fused_ops_without_grad_build_no_graph():
-    u = Tensor(np.ones((2, 3)))
-    for out in (T.rms_normalize(u, 1e-12), T.scale_shift(u, np.ones((2, 3)), np.zeros((2, 3))),
-                T.row_mse(u, Tensor(np.zeros((2, 3))))):
-        assert out._parents == () and out._backward is None
+    u, v = Tensor(np.ones((2, 3))), Tensor(np.full((2, 3), 2.0))
+    w, b = Tensor(np.ones((3, 2))), Tensor(np.zeros(2))
+    ids = np.array([1, 0])
+    outs = {
+        "add": T.add(u, v), "sub": T.sub(u, v), "mul": T.mul(u, v), "scale": T.scale(u, 2.0),
+        "matmul": T.matmul(u, w), "dense": T.dense(u, w, b, "tanh"),
+        "rms_normalize": T.rms_normalize(u, 1e-12),
+        "scale_shift": T.scale_shift(u, np.ones((2, 3)), np.zeros((2, 3))),
+        "row_mse": T.row_mse(u, v), "relu": T.relu(u), "tanh": T.tanh(u), "exp": T.exp(u),
+        "log": T.log(u), "square": T.square(u), "power": T.power(u, 1.5),
+        "tsum": T.tsum(u, 1), "tmean": T.tmean(u), "reshape": T.reshape(u, (3, 2)),
+        "gather_rows": T.gather_rows(u, ids), "select_columns": T.select_columns(u, ids),
+        "logsumexp": T.logsumexp(u),
+    }
+    ops = {name for name, fn in inspect.getmembers(T, inspect.isfunction)
+           if fn.__module__ == T.__name__ and not name.startswith("_")}
+    assert set(outs) == ops
+    for name, out in outs.items():
+        assert out._parents == () and out._backward is None, name
+
+
+def test_dropped_graphs_leave_no_reference_cycles():
+    rng = np.random.default_rng(8)
+    x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+    b = Tensor(rng.normal(size=5), requires_grad=True)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(5):
+            h = T.dense(x, w, b, "tanh")
+            T.logsumexp(T.rms_normalize(h, 1e-12)).sum().backward()
+            del h
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_bias_broadcast_gradient_sums_over_batch():
