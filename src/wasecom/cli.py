@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -49,11 +50,19 @@ def _version_string() -> str:
     return f"wasecom {__version__} ({rev})"
 
 
-def _floats(text: str) -> list[float]:
+def _finite_float(text: str) -> float:
+    """An argparse type for a value that no config field checks: a finite number."""
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as err:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from err
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _floats(text: str) -> list[float]:
+    return [_finite_float(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
 def _positive_int(text: str) -> int:
@@ -90,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="one evaluation cell on a checkpoint")
     common(ev, needs_ckpt=True)
     ev.add_argument("--snr", type=float, help="override channel snr_db")
-    ev.add_argument("--attack-eps", type=float, help="FGSM radius (0 = clean)")
+    ev.add_argument("--attack-eps", type=_finite_float, help="FGSM radius (0 = clean)")
 
     sw = sub.add_parser("sweep", help="SNR x attack grid to CSV")
     common(sw, needs_ckpt=True)
@@ -121,6 +130,13 @@ def _load_config(args) -> ExperimentConfig:
         cfg = parse_config(path)
     else:
         cfg = ExperimentConfig()
+    try:
+        return _with_overrides(cfg, args)
+    except ValueError as err:  # a config field's own check, e.g. a NaN snr_db
+        raise ConfigError(f"command-line override: {err}") from err
+
+
+def _with_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     train_cfg = cfg.train
     if getattr(args, "seed", None) is not None:
         train_cfg = dataclasses.replace(train_cfg, seed=args.seed)

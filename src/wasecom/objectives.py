@@ -37,12 +37,16 @@ class RobustnessConfig:
     lambda_learnable: bool = True
 
     def __post_init__(self):
-        # written as `not >=` so that NaN fails too
+        # an infinite radius or dual variable makes the penalty lam * rho^2 inf or NaN
+        for name in ("rho", "mu", "lam", "gamma", "epsilon_temp"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         for name in ("rho", "mu", "lam", "gamma"):
             value = getattr(self, name)
-            if not value >= 0:
+            if value < 0:
                 raise ValueError(f"{name} must be nonnegative, got {value}")
-        if not self.epsilon_temp > 0:
+        if self.epsilon_temp <= 0:
             raise ValueError(f"epsilon_temp must be positive, got {self.epsilon_temp}")
 
 

@@ -5,8 +5,16 @@ result through `_node`, which puts it on the tape only when a parent needs a
 graph.  A node remembers its parents and a closure `_bw(g)` that takes the
 node's gradient and routes it to them; the closure never refers to the result
 itself, so a graph holds no reference cycle and is freed by refcount as soon
-as it is dropped.  backward() walks the graph once in reverse topological
-order.
+as it is dropped.  backward() walks the interior nodes (those with parents)
+once in reverse topological order; leaves have no backward and are not on
+that list.
+
+An interior node keeps the first gradient written to it as is, so interior
+gradients may share arrays with each other (an `add` hands its own gradient
+to its operands) and may be read-only broadcast views.  None of them is ever
+written in place: a later write builds a new array.  Only a leaf's own
+gradient buffer, which may be a view of an optimizer's flat buffer, is
+accumulated in place.
 """
 from __future__ import annotations
 
@@ -40,14 +48,17 @@ class Tensor:
         return Tensor(self.data, requires_grad=False)
 
     def zero_grad(self):
-        if self.grad is not None:
+        if self._parents:
+            self.grad = None  # may be another node's array: drop it, never write it
+        elif self.grad is not None:
             self.grad[...] = 0.0
         self._backward_ran = False
 
     def _accumulate(self, g):
         if self.grad is None:
-            # first write: own a copy, since g may be a view of another node's grad
-            self.grad = np.array(g, dtype=np.float64)
+            self.grad = g
+        elif self._parents:
+            self.grad = self.grad + g
         else:
             self.grad += g
 
@@ -67,8 +78,7 @@ class Tensor:
         order = _topological_order(self)
         self._accumulate(np.ones_like(self.data))
         for node in reversed(order):
-            if node._backward is not None:
-                node._backward(node.grad)
+            node._backward(node.grad)
         self._backward_ran = True
 
     # ----------------------------------------------------------- arithmetic
@@ -130,7 +140,10 @@ def _as_tensor(value) -> Tensor:
 
 
 def _topological_order(root: Tensor):
+    """The interior nodes reachable from root, each after all of its parents."""
     # Iterative DFS so very deep graphs cannot hit the recursion limit.
+    if not root._parents:
+        return []
     order, visited, stack = [], set(), [(root, False)]
     while stack:
         node, expanded = stack.pop()
@@ -142,35 +155,43 @@ def _topological_order(root: Tensor):
         visited.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
-            if id(parent) not in visited:
+            if parent._parents and id(parent) not in visited:
                 stack.append((parent, False))
     return order
 
 
-def _needs_graph(*tensors) -> bool:
-    for t in tensors:
-        if t.requires_grad or t._parents:
-            return True
-    return False
+def _needs_graph(t: Tensor) -> bool:
+    return t.requires_grad or bool(t._parents)
 
 
 def _node(data, parents: tuple, backward) -> Tensor:
     """The op result: on the tape with `backward` if any parent needs a graph."""
     out = Tensor(data)
-    if _needs_graph(*parents):
-        out._parents = parents
-        out._backward = backward
+    for p in parents:
+        if p.requires_grad or p._parents:
+            out._parents = parents
+            out._backward = backward
+            break
     return out
+
+
+def _keepdims_shape(shape: tuple, axis: int) -> tuple:
+    """`shape` with the reduced axis kept as 1, for reshaping a reduction's gradient."""
+    kept = list(shape)
+    kept[axis] = 1
+    return tuple(kept)
 
 
 def _reduce_grad_to(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a broadcast gradient back down to the operand's original shape."""
+    if g.shape == shape:
+        return g
     extra = g.ndim - len(shape)
     if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
+        g = np.add.reduce(g, tuple(range(extra)))
     keep = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
     if keep:
-        g = g.sum(axis=keep, keepdims=True)
+        g = np.add.reduce(g, keep, keepdims=True)
     return g.reshape(shape)
 
 
@@ -295,7 +316,7 @@ def rms_normalize(a: Tensor, eps: float) -> Tensor:
     if a.data.ndim != 2:
         raise ValueError(f"rms_normalize: expected a (batch, dim) array, got shape {a.data.shape}")
     b, d = a.data.shape
-    power = (a.data * a.data).mean(axis=1) + float(eps)
+    power = np.add.reduce(a.data * a.data, 1) / d + float(eps)
     exponent = -0.5
     scale_col = (power ** exponent).reshape(b, 1)
     data = a.data * scale_col
@@ -303,8 +324,7 @@ def rms_normalize(a: Tensor, eps: float) -> Tensor:
     def _bw(g):
         g_scale = _reduce_grad_to(g * a.data, scale_col.shape).reshape(b)
         g_power = g_scale * exponent * power ** (exponent - 1.0)
-        g_square = np.broadcast_to(np.expand_dims(g_power, 1), a.data.shape) / d
-        a._accumulate(g * scale_col + g_square * (2.0 * a.data))
+        a._accumulate(g * scale_col + (g_power / d)[:, None] * (2.0 * a.data))
 
     return _node(data, (a,), _bw)
 
@@ -340,11 +360,11 @@ def row_mse(a: Tensor, b: Tensor) -> Tensor:
         diff = a.data - b.data
     except ValueError:
         raise _incompatible("sub", a, b) from None
-    data = (diff * diff).mean(axis=1)
+    n = diff.shape[1]
+    data = np.add.reduce(diff * diff, 1) / n
 
     def _bw(g):
-        g = np.broadcast_to(np.expand_dims(g, 1), diff.shape) / diff.shape[1]
-        g = g * (2.0 * diff)
+        g = (g / n)[:, None] * (2.0 * diff)
         if _needs_graph(a):
             a._accumulate(_reduce_grad_to(g, a.data.shape))
         if _needs_graph(b):
@@ -408,25 +428,29 @@ def power(a: Tensor, exponent: float) -> Tensor:
     return _node(data, (a,), _bw)
 
 
-def tsum(a: Tensor, axis=None) -> Tensor:
-    data = a.data.sum(axis=axis)
+def tsum(a: Tensor, axis: int | None = None) -> Tensor:
+    shape = a.data.shape
+    data = np.add.reduce(a.data, axis)
 
     def _bw(g):
         if axis is not None:
-            g = np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(g, a.data.shape))
+            g = g.reshape(_keepdims_shape(shape, axis))
+        a._accumulate(np.broadcast_to(g, shape))
 
     return _node(data, (a,), _bw)
 
 
-def tmean(a: Tensor, axis=None) -> Tensor:
-    count = a.data.size if axis is None else a.data.shape[axis]
-    data = a.data.mean(axis=axis)
+def tmean(a: Tensor, axis: int | None = None) -> Tensor:
+    """Mean over `axis` (None: all elements), the float operations of ndarray.mean."""
+    shape = a.data.shape
+    count = a.data.size if axis is None else shape[axis]
+    data = np.add.reduce(a.data, axis) / count
 
     def _bw(g):
+        g = g / count
         if axis is not None:
-            g = np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(g, a.data.shape) / count)
+            g = g.reshape(_keepdims_shape(shape, axis))
+        a._accumulate(np.broadcast_to(g, shape))
 
     return _node(data, (a,), _bw)
 
@@ -472,9 +496,9 @@ def select_columns(a: Tensor, ids: np.ndarray) -> Tensor:
 
 def logsumexp(a: Tensor) -> Tensor:
     """Stable log-sum-exp over the last axis."""
-    m = a.data.max(axis=-1, keepdims=True)
+    m = np.maximum.reduce(a.data, -1, keepdims=True)
     e = np.exp(a.data - m)
-    s = e.sum(axis=-1)
+    s = np.add.reduce(e, -1)
     data = m.squeeze(-1) + np.log(s)
 
     def _bw(g):

@@ -1,11 +1,15 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from wasecom.cli import main
 from wasecom.config import parse_config
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 TINY = {
     "run_id": "t",
@@ -109,10 +113,33 @@ def test_bad_configs_exit_2(tmp_path, capsys):
                                            ("robustness", {"rho": float("nan")}),
                                            ("eval", {"batch_size": 0}),
                                            ("eval", {"attack_fraction": 2.0}),
-                                           ("dataset", {"n": 0})])
+                                           ("dataset", {"n": 0}),
+                                           ("robustness", {"mu": float("inf")})])
 def test_bad_values_are_config_errors(tmp_path, capsys, section, value):
     assert main(["train", "--config", str(_cfg_file(tmp_path, **{section: value}))]) == 2
     assert f"config error: {section}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", [["--snr", "nan"], ["--rho", "nan"], ["--mu", "inf"],
+                                      ["--rho", "-1"]])
+def test_bad_train_overrides_are_config_errors(tmp_path, capsys, override):
+    assert main(["train", "--config", str(_cfg_file(tmp_path))] + override) == 2
+    assert "config error: command-line override" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--snr", "nan", "--attack-eps", "0"],
+                                  ["sweep", "--snr", "10", "--attack-eps", "0,inf"],
+                                  ["eval", "--attack-eps", "nan"]])
+def test_non_finite_eval_flags_fail_before_any_work(tmp_path, capsys, argv):
+    # the checkpoint is junk, so an error raised only after loading it exits 1
+    junk = tmp_path / "junk.ckpt"
+    junk.write_bytes(b"not a checkpoint at all")
+    cfg = _cfg_file(tmp_path)
+    ckpt = ["--ckpt", str(junk)] if argv[0] == "eval" else []
+    assert main(argv + ["--config", str(cfg)] + ckpt) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_rejects_a_bad_eval_plan_before_training(tmp_path, capsys):
@@ -174,7 +201,10 @@ def test_log_env_is_accepted(monkeypatch):
 
 
 def test_module_entry_point_runs():
+    # the child process does not inherit pytest's pythonpath setting
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "wasecom.cli", "--version"],
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0
     assert "wasecom 0.1.0" in proc.stdout

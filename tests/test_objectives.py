@@ -206,8 +206,9 @@ def test_robustness_config_validation():
     with pytest.raises(ValueError):
         O.RobustnessConfig(epsilon_temp=0.0)
     for name in ("rho", "mu", "lam", "gamma", "epsilon_temp"):
-        with pytest.raises(ValueError, match=name):
-            O.RobustnessConfig(**{name: np.nan})
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                O.RobustnessConfig(**{name: value})
 
 
 def test_text_inner_dual_attacks_embeddings():

@@ -131,8 +131,9 @@ def test_dense_without_grad_builds_no_graph():
 
 
 def test_first_gradient_write_does_not_alias_upstream_grad():
-    # add hands its own grad buffer downstream; the first write must copy it,
-    # or the second branch's += would also change the upstream node's grad
+    # add hands its own grad buffer downstream and the first write keeps it, so
+    # the second branch's write must build a new array, or it would also change
+    # the upstream node's grad
     x = Tensor(np.ones(3), requires_grad=True)
     h = x + Tensor(np.ones(3))
     y = h + h
@@ -140,6 +141,47 @@ def test_first_gradient_write_does_not_alias_upstream_grad():
     assert np.array_equal(y.grad, np.ones(3))
     assert np.array_equal(h.grad, 2 * np.ones(3))
     assert np.array_equal(x.grad, 2 * np.ones(3))
+
+
+def test_backward_from_a_leaf_root():
+    x = Tensor(np.array([2.5]), requires_grad=True)
+    x.backward()
+    assert np.array_equal(x.grad, [1.0])
+    c = Tensor(4.0)  # a constant has no buffer; backward gives it one
+    c.backward()
+    assert np.array_equal(c.grad, 1.0)
+    assert T._topological_order(x) == [] and T._topological_order(c) == []
+
+
+def test_leaf_shared_by_many_nodes_accumulates_into_its_own_buffer():
+    w = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    opt = Sgd([w], lr=0.1)
+    xs = [np.array([1.0, 2.0, 3.0]) * k for k in range(1, 6)]
+    loss = T.tsum(sum((w * Tensor(x) for x in xs), Tensor(np.zeros(3))))
+    loss.backward()
+    assert np.array_equal(w.grad, sum(xs))
+    # the leaf's buffer is still the optimizer's: written in place, not rebound
+    assert np.shares_memory(w.grad, opt.grad) and np.array_equal(opt.grad, sum(xs))
+
+
+def test_fan_out_and_fan_in_gradients_are_exact():
+    x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+    h = x * Tensor(np.full(3, 2.0))
+    s = h + h                        # one parent twice
+    p = h * Tensor(np.full(3, 3.0))  # h has four children: s, p, q, r
+    q = T.scale(h, 5.0)
+    r = h.reshape(3)
+    total = s + p + q + r
+    total.sum().backward()
+    # tsum hands down one read-only broadcast array, which add passes on by
+    # reference: a write into an interior grad in place would fail here
+    for node in (total, s, p, q, r):
+        assert np.array_equal(node.grad, np.ones(3))
+    assert np.array_equal(h.grad, np.full(3, 11.0))
+    assert np.array_equal(x.grad, np.full(3, 22.0))
+    assert not np.shares_memory(h.grad, s.grad)
+    h.zero_grad()  # an interior node drops its gradient, it does not write into it
+    assert h.grad is None and np.array_equal(s.grad, np.ones(3))
 
 
 def _fused_and_chain(fused_fn, chain_fn, inputs, needs_grad, upstream_seed=1):
@@ -204,6 +246,50 @@ def test_row_mse_is_bitwise_equal_to_op_chain(needs_grad):
     a, b = rng.normal(size=(6, 5)), rng.normal(size=(6, 5))
     _assert_bitwise(_fused_and_chain(T.row_mse, lambda x, y: (x - y).square().mean(axis=1),
                                      [a, b], needs_grad))
+
+
+def _mean_ref(a, axis=None):
+    """tmean as written on ndarray.mean, with expand_dims and broadcast-then-divide."""
+    count = a.data.size if axis is None else a.data.shape[axis]
+
+    def _bw(g):
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        a._accumulate(np.broadcast_to(g, a.data.shape) / count)
+
+    return T._node(a.data.mean(axis=axis), (a,), _bw)
+
+
+@pytest.mark.parametrize("axis", [None, 0, 1, -1])
+def test_tmean_is_bitwise_equal_to_ndarray_mean(axis):
+    a = np.random.default_rng(5).normal(size=(6, 7)) * 1e3
+    y = T.tmean(Tensor(a), axis)
+    want = a.mean(axis=axis)
+    assert np.array_equal(y.data, want) and y.data.shape == np.shape(want)
+    _assert_bitwise(_fused_and_chain(lambda u: T.tmean(u, axis), lambda u: _mean_ref(u, axis),
+                                     [a], [True]))
+
+
+@pytest.mark.parametrize("needs_grad", [(True, False), (True, True)])
+def test_row_mse_is_bitwise_equal_to_ndarray_mean_chain(needs_grad):
+    rng = np.random.default_rng(6)
+    a, b = rng.normal(size=(6, 5)) * 1e3, rng.normal(size=(6, 5))
+    assert np.array_equal(T.row_mse(Tensor(a), Tensor(b)).data, ((a - b) ** 2).mean(axis=1))
+    _assert_bitwise(_fused_and_chain(T.row_mse, lambda x, y: _mean_ref((x - y).square(), 1),
+                                     [a, b], needs_grad))
+
+
+def test_rms_normalize_is_bitwise_equal_to_ndarray_mean_chain():
+    a = np.random.default_rng(7).normal(size=(6, 5)) * 1e3
+    power = (a * a).mean(axis=1) + 1e-12
+    assert np.array_equal(T.rms_normalize(Tensor(a), 1e-12).data,
+                          a * (power ** -0.5).reshape(6, 1))
+
+    def chain(u):
+        power = _mean_ref(u.square(), 1) + Tensor(np.full(u.shape[0], 1e-12))
+        return u * power.pow(-0.5).reshape(u.shape[0], 1)
+
+    _assert_bitwise(_fused_and_chain(lambda u: T.rms_normalize(u, 1e-12), chain, [a], [True]))
 
 
 def test_fused_ops_shape_errors_keep_chain_messages():
