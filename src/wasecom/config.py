@@ -17,7 +17,7 @@ from pathlib import Path
 from .channel import ChannelConfig
 from .data import (Dataset, generate_synthetic_images, generate_synthetic_text,
                    ingest_cifar10_binary, ingest_text_lines)
-from .models import ModelDims, TaskKind
+from .models import MAX_SEQ_LEN, MAX_VOCAB_SIZE, ModelDims, TaskKind
 from .objectives import RobustnessConfig
 from .perturb import PerturbSpec
 from .training import Mode, TrainConfig, default_dims
@@ -41,6 +41,12 @@ class DatasetSpec:
             raise ValueError(f"n must be at least 1, got {self.n}")
         if self.side < 2:
             raise ValueError(f"side must be at least 2, got {self.side}")
+        if self.kind == "cifar10" and 32 % self.side:
+            raise ValueError(f"side must divide 32 for kind 'cifar10', got {self.side}")
+        if not 2 <= self.vocab_size <= MAX_VOCAB_SIZE:
+            raise ValueError(f"vocab_size must be in 2..{MAX_VOCAB_SIZE}, got {self.vocab_size}")
+        if not 2 <= self.max_len <= MAX_SEQ_LEN:
+            raise ValueError(f"max_len must be in 2..{MAX_SEQ_LEN}, got {self.max_len}")
 
 
 @dataclass

@@ -91,16 +91,26 @@ def generate_synthetic_images(n: int, side: int = 8, seed: int = 0) -> Dataset:
         if rng.uniform() < 0.35:  # occasional two-pattern mixture
             w = rng.uniform(0.3, 0.7)
             img = w * img + (1.0 - w) * _pattern(rng, xx, yy)
-        lo, hi = img.min(), img.max()
-        img = (img - lo) / (hi - lo + 1e-12)
-        images[i] = np.clip(img, 0.0, 1.0).ravel()
+        images[i] = img.ravel()
+    lo = images.min(axis=1, keepdims=True)
+    hi = images.max(axis=1, keepdims=True)
+    images -= lo
+    images /= hi - lo + 1e-12
+    np.clip(images, 0.0, 1.0, out=images)
     train, evalp = _split(images)
     return Dataset(TaskKind.IMAGE, train, evalp, source=f"synthetic-images(seed={seed})")
 
 
 def generate_synthetic_text(n: int, vocab_size: int = 32, max_len: int = 12,
                             seed: int = 0) -> Dataset:
-    """Token sequences from a seeded Markov chain with spiky transition rows."""
+    """Token sequences from a seeded Markov chain with spiky transition rows.
+
+    The chain is sampled by inversion, one uniform per token: all n x (max_len + 1)
+    uniforms are drawn up front (column 0 picks the first token, column j + 1 the
+    successor of token j; the last is unused), and a token is the number of CDF
+    entries at or below its uniform.  This is what `rng.choice(vocab_size, p=...)`
+    computes per call, so the stream and the tokens are those of a per-token loop.
+    """
     if n <= 0:
         raise ValueError("need at least one sample")
     if vocab_size < 2 or max_len < 2:
@@ -110,12 +120,17 @@ def generate_synthetic_text(n: int, vocab_size: int = 32, max_len: int = 12,
     # giving the sequences learnable structure
     transition = rng.dirichlet(np.full(vocab_size, 0.05), size=vocab_size)
     start = rng.dirichlet(np.full(vocab_size, 0.3))
+    # the CDFs exactly as Generator.choice builds them
+    start_cdf = start.cumsum()
+    start_cdf /= start_cdf[-1]
+    cdf = transition.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    u = rng.random((n, max_len + 1))
     seqs = np.empty((n, max_len), dtype=np.int64)
-    for i in range(n):
-        tok = int(rng.choice(vocab_size, p=start))
-        for j in range(max_len):
-            seqs[i, j] = tok
-            tok = int(rng.choice(vocab_size, p=transition[tok]))
+    tok = (start_cdf <= u[:, :1]).sum(axis=1)
+    for j in range(max_len):
+        seqs[:, j] = tok
+        tok = (cdf[tok] <= u[:, j + 1, None]).sum(axis=1)
     train, evalp = _split(seqs)
     return Dataset(TaskKind.TEXT, train, evalp, vocab_size=vocab_size,
                    source=f"synthetic-text(seed={seed})")

@@ -28,6 +28,9 @@ from .tensor import Tensor
 CHECKPOINT_MAGIC = b"WSCBUNDL"
 CHECKPOINT_VERSION = 1
 _POWER_EPS = 1e-12
+# text task bounds, shared by ModelDims and the config's dataset section
+MAX_VOCAB_SIZE = 64
+MAX_SEQ_LEN = 16
 
 
 class TaskKind(str, enum.Enum):
@@ -50,10 +53,10 @@ class ModelDims:
             if getattr(self, field) <= 0:
                 raise ValueError(f"{field} must be positive")
         if self.vocab_size:
-            if self.vocab_size > 64:
-                raise ValueError(f"vocab_size capped at 64, got {self.vocab_size}")
-            if not (0 < self.seq_len <= 16):
-                raise ValueError(f"seq_len must be in 1..16, got {self.seq_len}")
+            if self.vocab_size > MAX_VOCAB_SIZE:
+                raise ValueError(f"vocab_size capped at {MAX_VOCAB_SIZE}, got {self.vocab_size}")
+            if not (0 < self.seq_len <= MAX_SEQ_LEN):
+                raise ValueError(f"seq_len must be in 1..{MAX_SEQ_LEN}, got {self.seq_len}")
             if self.embed_dim <= 0:
                 raise ValueError("embed_dim must be positive for text")
             if self.semantic_dim % self.seq_len:

@@ -114,10 +114,17 @@ def test_bad_configs_exit_2(tmp_path, capsys):
                                            ("eval", {"batch_size": 0}),
                                            ("eval", {"attack_fraction": 2.0}),
                                            ("dataset", {"n": 0}),
-                                           ("robustness", {"mu": float("inf")})])
+                                           ("robustness", {"mu": float("inf")}),
+                                           ("dataset", {"vocab_size": 100}),
+                                           ("dataset", {"max_len": 20}),
+                                           ("dataset", {"vocab_size": 1}),
+                                           ("dataset", {"max_len": 1}),
+                                           ("dataset", {"kind": "cifar10", "side": 6,
+                                                        "path": "batch.bin"})])
 def test_bad_values_are_config_errors(tmp_path, capsys, section, value):
     assert main(["train", "--config", str(_cfg_file(tmp_path, **{section: value}))]) == 2
     assert f"config error: {section}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("override", [["--snr", "nan"], ["--rho", "nan"], ["--mu", "inf"],

@@ -73,9 +73,17 @@ def test_invalid_values_become_config_errors():
                                 ("eval", "attack_fraction", float("nan")),
                                 ("eval", "snr_db", [0.0, float("inf")]),
                                 ("eval", "attack_eps", [float("nan")]),
-                                ("dataset", "n", 0), ("dataset", "side", 1)):
+                                ("dataset", "n", 0), ("dataset", "side", 1),
+                                ("dataset", "vocab_size", 100), ("dataset", "vocab_size", 65),
+                                ("dataset", "vocab_size", 1), ("dataset", "max_len", 20),
+                                ("dataset", "max_len", 17), ("dataset", "max_len", 1)):
         with pytest.raises(C.ConfigError, match=f"{section}: {key}"):
             C.parse_config({section: {key: value}})
+    with pytest.raises(C.ConfigError, match="dataset: side must divide 32"):
+        C.parse_config({"dataset": {"kind": "cifar10", "side": 6, "path": "batch.bin"}})
+    for vocab, max_len in ((2, 2), (64, 16)):  # the bounds themselves are accepted
+        C.parse_config({"dataset": {"vocab_size": vocab, "max_len": max_len}})
+    C.parse_config({"dataset": {"kind": "cifar10", "side": 16, "path": "batch.bin"}})
     with pytest.raises(C.ConfigError, match="invalid JSON"):
         C.parse_config("{nope")
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,75 @@ def test_text_has_markov_structure():
             bigrams.add((int(a), int(b)))
             total += 1
     assert len(bigrams) / total < 0.5
+
+
+def _choice_loop_text(n, vocab_size, max_len, seed):
+    # reference: one `rng.choice` call per token
+    rng = np.random.default_rng([seed, 202])
+    transition = rng.dirichlet(np.full(vocab_size, 0.05), size=vocab_size)
+    start = rng.dirichlet(np.full(vocab_size, 0.3))
+    seqs = np.empty((n, max_len), dtype=np.int64)
+    for i in range(n):
+        tok = int(rng.choice(vocab_size, p=start))
+        for j in range(max_len):
+            seqs[i, j] = tok
+            tok = int(rng.choice(vocab_size, p=transition[tok]))
+    return D._split(seqs)
+
+
+def _per_image_loop(n, side, seed):
+    # reference: each image normalized inside the loop
+    rng = np.random.default_rng([seed, 101])
+    axis = np.linspace(0.0, 1.0, side)
+    xx, yy = np.meshgrid(axis, axis)
+    images = np.empty((n, side * side))
+    for i in range(n):
+        img = D._pattern(rng, xx, yy)
+        if rng.uniform() < 0.35:
+            w = rng.uniform(0.3, 0.7)
+            img = w * img + (1.0 - w) * D._pattern(rng, xx, yy)
+        lo, hi = img.min(), img.max()
+        img = (img - lo) / (hi - lo + 1e-12)
+        images[i] = np.clip(img, 0.0, 1.0).ravel()
+    return D._split(images)
+
+
+_SMALL_TEXT = [(n, vocab, max_len, seed) for n in (1, 24) for vocab in (2, 8, 32, 64)
+               for max_len in (2, 8, 16) for seed in (0, 7)]
+
+
+@pytest.mark.parametrize("n,vocab,max_len,seed", _SMALL_TEXT + [
+    (2048, 8, 8, 0), (2048, 8, 8, 7), (2048, 2, 16, 3), (2048, 64, 2, 1), (2048, 32, 16, 5)])
+def test_text_matches_per_token_choice_loop(n, vocab, max_len, seed):
+    ds = D.generate_synthetic_text(n, vocab_size=vocab, max_len=max_len, seed=seed)
+    train, evalp = _choice_loop_text(n, vocab, max_len, seed)
+    assert np.array_equal(ds.train, train) and np.array_equal(ds.eval, evalp)
+    assert ds.train.dtype == train.dtype
+
+
+@pytest.mark.parametrize("n,side,seed", [(1, 8, 0), (24, 2, 1), (24, 5, 7), (24, 6, 3),
+                                         (24, 16, 0), (1024, 8, 3), (2048, 8, 0)])
+def test_images_match_per_image_normalization_loop(n, side, seed):
+    ds = D.generate_synthetic_images(n, side=side, seed=seed)
+    train, evalp = _per_image_loop(n, side, seed)
+    assert np.array_equal(ds.train, train) and np.array_equal(ds.eval, evalp)
+
+
+@pytest.mark.parametrize("make,digest", [
+    # acceptance criteria 08 and 09
+    (lambda: D.generate_synthetic_images(2048, side=8, seed=0),
+     "5b4d5479eab50d4e107feedad90c064df34baacf2c805c178b281e7357df8247"),
+    # acceptance criterion 10
+    (lambda: D.generate_synthetic_text(2048, vocab_size=8, max_len=8, seed=0),
+     "8e2675a3440915d06c3024442b26a60e07fb8a7510ea4024306f3df7a53c6f6a"),
+    # the benchmark audit's text set
+    (lambda: D.generate_synthetic_text(512, vocab_size=32, max_len=8, seed=0),
+     "70a05613ca1a199c2fddd8b91221d9086820276cb7891e6c8f5a77270c49ff39"),
+], ids=["images-2048-8-0", "text-2048-8-8-0", "text-512-32-8-0"])
+def test_gate_datasets_are_pinned(make, digest):
+    # any change to these bytes moves the acceptance and benchmark numbers
+    ds = make()
+    assert hashlib.sha256(ds.train.tobytes() + ds.eval.tobytes()).hexdigest() == digest
 
 
 def _write_cifar_fixture(path, n_records, fill=None):
