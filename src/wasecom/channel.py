@@ -70,19 +70,28 @@ def apply_realization(u: Tensor, realization: ChannelRealization) -> Tensor:
     return T.scale_shift(u, realization.h, realization.w)
 
 
-def transmit(cfg: ChannelConfig, u: Tensor, rng: np.random.Generator):
-    """Measure batch signal power, draw a channel realization, apply it.
+def realization_for(cfg: ChannelConfig, u: np.ndarray,
+                    rng: np.random.Generator) -> ChannelRealization:
+    """Measure the batch signal power of u and draw a channel realization for it.
 
-    Returns (z, realization).  The measured power (not an assumed unit power)
-    sets sigma^2, so the configured SNR is honored even without normalization.
+    The measured power (not an assumed unit power) sets sigma^2, so the
+    configured SNR is honored even without normalization.
     """
-    if not np.all(np.isfinite(u.data)):
+    if not np.all(np.isfinite(u)):
         raise ValueError("transmit: non-finite signal")
-    if u.data.ndim != 2:
-        raise ValueError(f"transmit: expected (batch, dim) signal, got shape {u.data.shape}")
-    batch, dim = u.data.shape
-    power = float(np.mean(u.data * u.data))
-    realization = draw_realization(cfg, batch, dim, power, rng)
+    if u.ndim != 2:
+        raise ValueError(f"transmit: expected (batch, dim) signal, got shape {u.shape}")
+    batch, dim = u.shape
+    power = float(np.mean(u * u))
+    return draw_realization(cfg, batch, dim, power, rng)
+
+
+def transmit(cfg: ChannelConfig, u: Tensor, rng: np.random.Generator):
+    """Draw a channel realization for u's measured power and apply it.
+
+    Returns (z, realization).
+    """
+    realization = realization_for(cfg, u.data, rng)
     return apply_realization(u, realization), realization
 
 

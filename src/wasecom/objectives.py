@@ -21,7 +21,7 @@ import numpy as np
 
 from . import models as M
 from . import tensor as T
-from .channel import ChannelConfig, ChannelRealization, transmit
+from .channel import ChannelConfig, ChannelRealization, realization_for, transmit
 from .perturb import PerturbMethod, PerturbSpec, fgsm, gaussian_samples, pgd
 from .tensor import Tensor
 
@@ -135,7 +135,7 @@ def _penalized_objective(live_scored, frozen_loss, center: np.ndarray, dual_var:
     """
     spec = dataclasses.replace(spec, radius=radius)
     if rob.use_lse:
-        draws = np.stack(gaussian_samples(center, spec, draw_rng))
+        draws = gaussian_samples(center, spec, draw_rng)
         scored, cost = live_scored(draws - center)
         expectation = lse_combine(scored, rob.epsilon_temp).mean()
         # envelope weight: softmax of scores at the optimum
@@ -171,7 +171,7 @@ def inner_dual_loss(bundle, x, channel_cfg: ChannelConfig, rob: RobustnessConfig
     is_text = bundle.task is M.TaskKind.TEXT
     center = M.embed_tokens(frozen, x).data if is_text else np.asarray(x, dtype=float)
     u0 = M.encode_signal(frozen, Tensor(center))
-    _, realization = transmit(channel_cfg, u0, rng)
+    realization = realization_for(channel_cfg, u0.data, rng)
     lam = rob.lam
 
     def frozen_loss(leaf: Tensor) -> Tensor:

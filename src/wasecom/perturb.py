@@ -72,7 +72,7 @@ def _value_and_grad(loss_fn, x: np.ndarray):
     leaf = Tensor(x.copy(), requires_grad=True)
     per_sample = loss_fn(leaf)
     per_sample.sum().backward()
-    return per_sample.data.copy(), leaf.grad.copy()
+    return per_sample.data, leaf.grad  # the leaf and its graph die with this call
 
 
 def fgsm(loss_fn, x: np.ndarray, spec: PerturbSpec) -> np.ndarray:
@@ -118,16 +118,19 @@ def pgd(loss_fn, x: np.ndarray, spec: PerturbSpec) -> np.ndarray:
     return best
 
 
-def gaussian_samples(x: np.ndarray, spec: PerturbSpec, rng: np.random.Generator) -> list[np.ndarray]:
-    """sample_count isotropic draws with per-coordinate sigma = radius / sqrt(d).
+def gaussian_samples(x: np.ndarray, spec: PerturbSpec, rng: np.random.Generator) -> np.ndarray:
+    """sample_count isotropic draws around the (B, D) x, as one (K, B, D) array.
 
-    The expected squared displacement matches radius^2; individual draws may
-    leave the hard ball (smoothing samples are exempt from the budget).
+    Per-coordinate sigma is radius / sqrt(D), so the expected squared
+    displacement matches radius^2; individual draws may leave the hard ball
+    (smoothing samples are exempt from the budget).  The K draws come from one
+    rng.normal call, the same stream as K calls of shape (B, D) in turn.
     """
     d = x.shape[1]
     sigma = 0.0 if spec.radius == 0 else spec.radius / np.sqrt(d)
-    return [x + rng.normal(scale=sigma, size=x.shape) if sigma else x.copy()
-            for _ in range(spec.sample_count)]
+    if not sigma:
+        return np.repeat(x[None], spec.sample_count, axis=0)
+    return x + rng.normal(scale=sigma, size=(spec.sample_count, *x.shape))
 
 
 def attacked_row_mask(batch: int, fraction: float, rng: np.random.Generator) -> np.ndarray:

@@ -7,7 +7,9 @@ node's gradient and routes it to them; the closure never refers to the result
 itself, so a graph holds no reference cycle and is freed by refcount as soon
 as it is dropped.  backward() walks the interior nodes (those with parents)
 once in reverse topological order; leaves have no backward and are not on
-that list.
+that list.  A closure holds only the arrays its backward reads: an op that
+needs a temporary to compute its value lets it go once the value is built, so
+a tape keeps no more memory alive than its gradients need.
 
 An interior node keeps the first gradient written to it as is, so interior
 gradients may share arrays with each other (an `add` hands its own gradient
@@ -18,7 +20,40 @@ accumulated in place.
 """
 from __future__ import annotations
 
+import ctypes
+import sys
+
 import numpy as np
+
+# glibc's mallopt parameter number for M_TOP_PAD (malloc.h), and the pad: the
+# free memory kept mapped at the top of the heap when it is trimmed.
+_M_TOP_PAD = -2
+_TOP_PAD_BYTES = 16 << 20
+
+
+def _keep_freed_heap_mapped() -> None:
+    """Ask glibc to keep 16 MiB of freed heap mapped instead of trimming it.
+
+    A training step builds and drops tapes of (B, H) arrays; with the default
+    pad glibc returns the freed top of the heap to the kernel when a tape is
+    dropped, and the next tape faults every page back in.  A no-op where the
+    C library is not glibc or cannot be loaded.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        libc = ctypes.CDLL(None)
+    except OSError:
+        return
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TOP_PAD, _TOP_PAD_BYTES)
+
+
+_keep_freed_heap_mapped()
 
 
 class Tensor:
@@ -279,23 +314,24 @@ def dense(x: Tensor, w: Tensor, b: Tensor, activation: str | None = None) -> Ten
         raise _incompatible("matmul", x, w)
     if activation not in (None, "tanh", "relu"):
         raise ValueError(f"dense: unknown activation {activation!r}")
-    pre = x.data @ w.data
+    # one array, written in place: the closure keeps the output and nothing else
+    y = x.data @ w.data
     try:
-        pre = pre + b.data
+        np.add(y, b.data, out=y)
     except ValueError:
-        raise ValueError(f"add: incompatible shapes {pre.shape} and {b.data.shape}") from None
+        raise ValueError(f"add: incompatible shapes {y.shape} and {b.data.shape}") from None
     if activation == "tanh":
-        y = np.tanh(pre)
+        np.tanh(y, out=y)
     elif activation == "relu":
-        y = np.maximum(pre, 0.0)
-    else:
-        y = pre
+        np.maximum(y, 0.0, out=y)
 
     def _bw(g):
         if activation == "tanh":
-            g = g * (1.0 - y * y)
+            dy = y * y
+            np.subtract(1.0, dy, out=dy)
+            g = np.multiply(g, dy, out=dy)  # g may be a read-only view: never written
         elif activation == "relu":
-            g = g * (pre > 0)
+            g = g * (y > 0)  # y > 0 exactly where the pre-activation is (NaN and -0.0 too)
         if _needs_graph(b):
             b._accumulate(_reduce_grad_to(g, b.data.shape))
         if _needs_graph(x):
@@ -344,9 +380,10 @@ def scale_shift(a: Tensor, h: np.ndarray, w: np.ndarray) -> Tensor:
         data = prod + w
     except ValueError:
         raise ValueError(f"add: incompatible shapes {prod.shape} and {w.shape}") from None
+    prod_shape = prod.shape
 
     def _bw(g):
-        a._accumulate(_reduce_grad_to(_reduce_grad_to(g, prod.shape) * h, a.data.shape))
+        a._accumulate(_reduce_grad_to(_reduce_grad_to(g, prod_shape) * h, a.data.shape))
 
     return _node(data, (a,), _bw)
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import models as M
-from .channel import ChannelConfig, ChannelKind, ChannelRealization, draw_realization
+from .channel import ChannelConfig, ChannelKind, ChannelRealization, realization_for
 from .data import Dataset
 from .metrics import MetricsRecord, bleu, psnr_from_mse, ssim
 from .models import ModelBundle, ModelDims, TaskKind, save_checkpoint
@@ -306,9 +306,7 @@ def evaluate(bundle: ModelBundle, data, channel_cfg: ChannelConfig,
         else:
             centers = M.embed_tokens(frozen, batch).data
         u0 = M.encode_signal(frozen, Tensor(centers))
-        power = float(np.mean(u0.data**2))
-        realization = draw_realization(channel_cfg, len(batch), bundle.dims.signal_dim,
-                                       power, rng)
+        realization = realization_for(channel_cfg, u0.data, rng)
         rows = ()
         if attacking:
             rows = np.flatnonzero(attacked_row_mask(len(batch), attack.sample_fraction,

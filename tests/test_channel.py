@@ -9,6 +9,7 @@ from wasecom.channel import (
     draw_realization,
     empirical_snr_db,
     noise_variance,
+    realization_for,
     transmit,
 )
 from wasecom.gradcheck import check_case
@@ -49,6 +50,27 @@ def test_transmit_rejects_non_finite():
     bad = Tensor(np.array([[1.0, np.nan]]))
     with pytest.raises(ValueError):
         transmit(ChannelConfig(), bad, rng)
+
+
+@pytest.mark.parametrize("kind", ["awgn", "rayleigh"])
+def test_realization_for_is_the_draw_transmit_applies(kind):
+    cfg = ChannelConfig(kind=kind, snr_db=4.0)
+    u = np.random.default_rng(3).normal(size=(6, 5))
+    rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
+    z, r = transmit(cfg, Tensor(u), rng_a)
+    drawn = realization_for(cfg, u, rng_b)
+    assert np.array_equal(drawn.h, r.h) and np.array_equal(drawn.w, r.w)
+    assert drawn.sigma2 == r.sigma2 == noise_variance(cfg, float(np.mean(u**2)))
+    assert np.array_equal(z.data, apply_realization(Tensor(u), drawn).data)
+    assert rng_a.random() == rng_b.random()
+
+
+def test_realization_for_rejects_bad_signals():
+    rng = np.random.default_rng(2)
+    with pytest.raises(ValueError, match="non-finite"):
+        realization_for(ChannelConfig(), np.array([[1.0, np.inf]]), rng)
+    with pytest.raises(ValueError, match=r"\(batch, dim\).*\(3,\)"):
+        realization_for(ChannelConfig(), np.ones(3), rng)
 
 
 def test_same_seed_same_draw():

@@ -139,6 +139,19 @@ def test_gaussian_zero_radius_returns_centers():
         assert np.array_equal(d, x)
 
 
+@pytest.mark.parametrize("radius", [0.0, 0.3])
+def test_gaussian_samples_equal_k_separate_draws(radius):
+    x = np.random.default_rng(6).normal(size=(7, 5))
+    spec = PerturbSpec(method="gaussian", radius=radius, sample_count=4)
+    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    got = gaussian_samples(x, spec, rng)
+    sigma = radius / np.sqrt(5)
+    want = np.stack([x + ref_rng.normal(scale=sigma, size=x.shape) if sigma else x.copy()
+                     for _ in range(4)])
+    assert got.shape == (4, 7, 5) and np.array_equal(got, want)
+    assert rng.random() == ref_rng.random()   # the stream is left where the loop left it
+
+
 def test_gaussian_seeded_determinism():
     x = np.zeros((4, 4))
     spec = PerturbSpec(method="gaussian", radius=1.0, sample_count=2)

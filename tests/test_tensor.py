@@ -1,10 +1,12 @@
 import gc
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from wasecom import gradcheck, tensor as T
+from wasecom.models import Mlp
 from wasecom.tensor import Tensor
 from wasecom.optim import Adam, Sgd
 from wasecom.gradcheck import check_case, numeric_gradients, random_graph_suite
@@ -90,11 +92,25 @@ def test_elementwise_shape_mismatch_names_op_and_shapes(op):
         getattr(T, op)(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
 
 
-def _dense_and_chain(activation, seed=0):
+def _dense_inputs(case):
+    """x, w, b and an upstream gradient: a small layer, the text hidden layer
+    (B * seq_len = 256 rows of 8-wide embeddings into 64 units), or a layer
+    whose pre-activation holds 0.0 and NaN."""
+    rows, cols, width = {"small": (5, 4, 3), "text": (256, 8, 64), "special": (6, 4, 3)}[case]
+    rng = np.random.default_rng(0)
+    x0, w0 = rng.normal(size=(rows, cols)), rng.normal(size=(cols, width))
+    b0 = rng.normal(size=width)
+    if case == "special":
+        x0[:3] = 0.0                 # these rows' pre-activation is the bias itself
+        # a matmul row is +0.0, never -0.0, so -0.0 + it is 0.0: the mask
+        # test below covers a -0.0 pre-activation
+        b0[:] = (0.0, np.nan, -0.0)
+    return x0, w0, b0, rng.normal(size=(rows, width))
+
+
+def _dense_and_chain(activation, case="small"):
     """Forward values and all three gradients of dense and of the op chain."""
-    rng = np.random.default_rng(seed)
-    x0, w0, b0 = rng.normal(size=(5, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)
-    upstream = rng.normal(size=(5, 3))
+    x0, w0, b0, upstream = _dense_inputs(case)
     results = []
     for fused in (True, False):
         x, w, b = (Tensor(a.copy(), requires_grad=True) for a in (x0, w0, b0))
@@ -108,11 +124,57 @@ def _dense_and_chain(activation, seed=0):
     return results
 
 
-@pytest.mark.parametrize("activation", ["tanh", "relu", None])
-def test_dense_is_bitwise_equal_to_op_chain(activation):
-    fused, chain = _dense_and_chain(activation)
+@pytest.mark.parametrize("activation,case", [
+    pytest.param("tanh", "small", id="tanh"), pytest.param("relu", "small", id="relu"),
+    pytest.param(None, "small", id="None"), pytest.param("tanh", "text", id="text-tanh"),
+    pytest.param("relu", "text", id="text-relu"), pytest.param(None, "text", id="text-None"),
+    pytest.param("relu", "special", id="relu-zero-nan"),
+])
+def test_dense_is_bitwise_equal_to_op_chain(activation, case):
+    fused, chain = _dense_and_chain(activation, case)
     for got, want in zip(fused, chain):
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, want, equal_nan=True)
+    if case == "special":
+        assert np.isnan(fused[0][:, 1]).all() and (fused[0][:3, [0, 2]] == 0.0).all()
+
+
+def test_relu_mask_from_output_equals_mask_from_pre_activation():
+    # dense's relu backward reads y = max(pre, 0) > 0 where the chain reads pre > 0
+    pre = np.array([-1.5, -0.0, 0.0, 2.0, np.nan, -np.inf, np.inf, 5e-324, -5e-324])
+    assert np.array_equal(np.maximum(pre, 0.0) > 0, pre > 0)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu", None])
+def test_dense_writes_neither_its_inputs_nor_the_incoming_gradient(activation):
+    rng = np.random.default_rng(1)
+    x, w, b = (Tensor(rng.normal(size=shape), requires_grad=True)
+               for shape in ((6, 4), (4, 3), (3,)))
+    before = [t.data.copy() for t in (x, w, b)]
+    y = T.dense(x, w, b, activation)
+    T.tmean(y).backward()
+    for t, data in zip((x, w, b), before):
+        assert np.array_equal(t.data, data)
+    # tmean hands dense a read-only broadcast view of 1 / count
+    assert not y.grad.flags.writeable
+    assert np.array_equal(y.grad, np.full((6, 3), 1.0 / 18))
+
+
+def test_mlp_forward_keeps_one_array_per_hidden_layer():
+    rows, width = 256, 64
+    mlp = Mlp([8, width, width, 8], "tanh", rng=np.random.default_rng(0))
+    x = Tensor(np.random.default_rng(1).normal(size=(rows, 8)), requires_grad=True)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = mlp(x)
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert out._parents
+    hidden_array = rows * width * 8
+    # two hidden outputs and the (256, 8) result: no pre-activation copies
+    assert held < 3 * hidden_array, held
 
 
 def test_dense_shape_mismatch_names_matmul():
@@ -596,3 +658,16 @@ def test_optimizer_rejects_duplicate_parameter(cls):
     p, q = Tensor(np.ones(2), requires_grad=True), Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ValueError, match="more than once"):
         cls([p, q, p], lr=0.1)
+
+
+def test_heap_pad_call_never_raises(monkeypatch):
+    def no_libc(*_args, **_kwargs):
+        raise OSError("cannot load the C library")
+
+    monkeypatch.setattr(T.ctypes, "CDLL", no_libc)
+    T._keep_freed_heap_mapped()
+    monkeypatch.setattr(T.ctypes, "CDLL", lambda *_args, **_kwargs: object())  # no mallopt
+    T._keep_freed_heap_mapped()
+    monkeypatch.undo()
+    T._keep_freed_heap_mapped()   # a second real call only sets the same pad again
+    T._keep_freed_heap_mapped()

@@ -1,4 +1,7 @@
 import hashlib
+import platform
+import resource
+import sys
 import time
 
 import numpy as np
@@ -417,3 +420,34 @@ def test_config_validation():
     for dual_lr in (np.nan, np.inf, -0.01):
         with pytest.raises(ValueError, match="dual_lr"):
             TrainConfig(dual_lr=dual_lr)
+
+
+class _StopTraining(Exception):
+    pass
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                    reason="the heap pad is set through glibc's mallopt")
+def test_robust_text_steps_do_not_refault_the_heap():
+    # The criterion 10 robust text arm: each step builds five tapes over
+    # (256, 64) hidden arrays.  Were the freed heap returned to the kernel when
+    # a tape is dropped, every step would fault hundreds of pages back in.
+    data = generate_synthetic_text(2048, vocab_size=8, max_len=8, seed=0)
+    dims = ModelDims(64, 32, 96, 64, vocab_size=8, seq_len=8, embed_dim=8)
+    cfg = TrainConfig(mode=Mode.WASECOM, epochs=1, batch_size=32, lr=2e-3, seed=0,
+                      channel=ChannelConfig(ChannelKind.AWGN, 3.0),
+                      robustness=RobustnessConfig(rho=0.05, mu=0.3),
+                      perturb_inner=PerturbSpec(PerturbMethod.PGD, radius=0.05,
+                                                epsilon_inf=1.0, steps=3),
+                      perturb_outer=PerturbSpec(PerturbMethod.FGSM, radius=0.3, epsilon_inf=1.0))
+    faults = []
+
+    def on_step(_step, _bundle):
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+        if len(faults) == 10:
+            raise _StopTraining
+
+    with pytest.raises(_StopTraining):
+        train(cfg, data, dims=dims, on_step=on_step)
+    per_step = (faults[9] - faults[1]) / 8   # after 2 warm-up steps
+    assert per_step < 20, per_step
