@@ -26,6 +26,178 @@ FULL = """
 }
 """
 
+# the config example in README.md
+README_EXAMPLE = """
+{
+  "run_id": "demo",
+  "task": "image",
+  "seed": 0,
+  "mode": "wasecom",
+  "dataset": {"kind": "synthetic", "n": 2048, "side": 8},
+  "model": {"semantic_dim": 16, "signal_dim": 16, "hidden_dim": 32},
+  "train": {"epochs": 20, "batch_size": 32, "lr": 0.002},
+  "channel": {"kind": "awgn", "snr_db": 10.0},
+  "robustness": {"rho": 0.5, "mu": 0.1, "lambda": 1.0, "gamma": 1.0},
+  "perturb_inner": {"method": "pgd", "radius": 0.5, "epsilon_inf": 1.0, "steps": 3},
+  "perturb_outer": {"method": "fgsm", "radius": 0.1, "epsilon_inf": 1.0},
+  "eval": {"snr_db": [0, 10, 20], "attack_eps": [0.0, 1.0], "attack_fraction": 0.3}
+}
+"""
+
+DEFAULT_CANONICAL = """\
+{
+  "channel": {
+    "kind": "awgn",
+    "snr_db": 10.0
+  },
+  "dataset": {
+    "kind": "synthetic",
+    "max_len": 12,
+    "n": 512,
+    "path": null,
+    "side": 8,
+    "vocab_size": 32
+  },
+  "eval": {
+    "attack_eps": [
+      0.0,
+      0.1
+    ],
+    "attack_fraction": 0.1,
+    "batch_size": 64,
+    "snr_db": [
+      0.0,
+      10.0,
+      20.0
+    ]
+  },
+  "mode": "wasecom",
+  "model": {
+    "embed_dim": 8,
+    "hidden_dim": null,
+    "semantic_dim": null,
+    "signal_dim": null
+  },
+  "out_dir": "runs/run",
+  "perturb_inner": {
+    "epsilon_inf": 0.01,
+    "method": "pgd",
+    "radius": 0.1,
+    "sample_count": 8,
+    "sample_fraction": 1.0,
+    "step_size": 0.0,
+    "steps": 5
+  },
+  "perturb_outer": {
+    "epsilon_inf": 0.01,
+    "method": "fgsm",
+    "radius": 0.1,
+    "sample_count": 8,
+    "sample_fraction": 1.0,
+    "step_size": 0.0,
+    "steps": 7
+  },
+  "robustness": {
+    "epsilon_temp": 1.0,
+    "gamma": 1.0,
+    "lambda": 1.0,
+    "lambda_learnable": true,
+    "mu": 0.0,
+    "rho": 0.0,
+    "use_lse": false
+  },
+  "run_id": "run",
+  "seed": 0,
+  "task": "image",
+  "train": {
+    "batch_size": 32,
+    "checkpoint_every": 0,
+    "dual_lr": 0.01,
+    "epochs": 2,
+    "lr": 0.001,
+    "optimizer": "adam",
+    "sub_steps": 1
+  }
+}
+"""
+
+README_CANONICAL = """\
+{
+  "channel": {
+    "kind": "awgn",
+    "snr_db": 10.0
+  },
+  "dataset": {
+    "kind": "synthetic",
+    "max_len": 12,
+    "n": 2048,
+    "path": null,
+    "side": 8,
+    "vocab_size": 32
+  },
+  "eval": {
+    "attack_eps": [
+      0.0,
+      1.0
+    ],
+    "attack_fraction": 0.3,
+    "batch_size": 64,
+    "snr_db": [
+      0,
+      10,
+      20
+    ]
+  },
+  "mode": "wasecom",
+  "model": {
+    "embed_dim": 8,
+    "hidden_dim": 32,
+    "semantic_dim": 16,
+    "signal_dim": 16
+  },
+  "out_dir": "runs/run",
+  "perturb_inner": {
+    "epsilon_inf": 1.0,
+    "method": "pgd",
+    "radius": 0.5,
+    "sample_count": 8,
+    "sample_fraction": 1.0,
+    "step_size": 0.0,
+    "steps": 3
+  },
+  "perturb_outer": {
+    "epsilon_inf": 1.0,
+    "method": "fgsm",
+    "radius": 0.1,
+    "sample_count": 8,
+    "sample_fraction": 1.0,
+    "step_size": 0.0,
+    "steps": 7
+  },
+  "robustness": {
+    "epsilon_temp": 1.0,
+    "gamma": 1.0,
+    "lambda": 1.0,
+    "lambda_learnable": true,
+    "mu": 0.1,
+    "rho": 0.5,
+    "use_lse": false
+  },
+  "run_id": "demo",
+  "seed": 0,
+  "task": "image",
+  "train": {
+    "batch_size": 32,
+    "checkpoint_every": 0,
+    "dual_lr": 0.01,
+    "epochs": 20,
+    "lr": 0.002,
+    "optimizer": "adam",
+    "sub_steps": 1
+  }
+}
+"""
+
 
 def test_full_document_parses():
     cfg = C.parse_config(FULL)
@@ -156,3 +328,9 @@ def test_model_dims_without_overrides_are_the_training_defaults():
         # a given size is used as given, never read as "derive"
         with pytest.raises(ValueError, match="semantic_dim"):
             TR.default_dims(data, semantic_dim=0)
+
+
+def test_canonical_text_is_pinned():
+    # the exact bytes config.json gets, for the defaults and the README example
+    assert C.serialize_config(C.ExperimentConfig()) == DEFAULT_CANONICAL
+    assert C.serialize_config(C.parse_config(README_EXAMPLE)) == README_CANONICAL

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,39 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         loaded = M.load_checkpoint(path)
         assert loaded.task == b.task and loaded.dims == b.dims
         assert loaded.param_bytes() == b.param_bytes()
+
+
+# magic, version, field count, then (key length, key, int64 value) per field
+PINNED_CHECKPOINTS = (
+    (lambda: image_bundle(seed=11), (
+        "57534342554e444c010000000a00000004007461736b00000000000000000a00"
+        "61637469766174696f6e000000000000000009006e6f726d616c697a65010000"
+        "00000000000900696e7075745f64696d40000000000000000c0073656d616e74"
+        "69635f64696d10000000000000000a007369676e616c5f64696d100000000000"
+        "00000a0068696464656e5f64696d20000000000000000a00766f6361625f7369"
+        "7a65000000000000000007007365715f6c656e00000000000000000900656d62"
+        "65645f64696d0000000000000000"),
+     "422371b4486d2df1d6fc715ede10a31deddc5c28ac0dadf2c1dd3d223d39fca8"),
+    (lambda: text_bundle(seed=12), (
+        "57534342554e444c010000000a00000004007461736b01000000000000000a00"
+        "61637469766174696f6e000000000000000009006e6f726d616c697a65010000"
+        "00000000000900696e7075745f64696d60000000000000000c0073656d616e74"
+        "69635f64696d30000000000000000a007369676e616c5f64696d180000000000"
+        "00000a0068696464656e5f64696d20000000000000000a00766f6361625f7369"
+        "7a65200000000000000007007365715f6c656e0c000000000000000900656d62"
+        "65645f64696d0800000000000000"),
+     "ca3ff157ef63257a950876b6041deeaf18ef0a315c6d3888d0c3999af907422d"),
+)
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    path = tmp_path / "ckpt.bin"
+    for make, header_hex, sha in PINNED_CHECKPOINTS:
+        M.save_checkpoint(make(), path)
+        blob = path.read_bytes()
+        header = bytes.fromhex(header_hex)
+        assert blob[:len(header)] == header
+        assert hashlib.sha256(blob).hexdigest() == sha
 
 
 def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
