@@ -4,14 +4,15 @@ Every run is described by one JSON document.  Parsing is schema-checked —
 unknown keys are rejected with their section named — and serialization is
 canonical (sorted keys, two-space indent), so `serialize(parse(text))` is a
 fixed point.  The JSON key "lambda" maps to the `lam` field because `lambda`
-is reserved in Python.
+is reserved in Python.  Each section's keys are its dataclass's fields.
 """
 from __future__ import annotations
 
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from enum import Enum
 from pathlib import Path
 
 from .channel import ChannelConfig
@@ -91,6 +92,13 @@ class ExperimentConfig:
     eval_plan: EvalPlan = field(default_factory=EvalPlan)
 
 
+# The sections nested in TrainConfig that the JSON holds at the top level.
+_TRAIN_SECTIONS = {"robustness": RobustnessConfig, "channel": ChannelConfig,
+                   "perturb_inner": PerturbSpec, "perturb_outer": PerturbSpec}
+_JSON_KEY = {"lam": "lambda"}
+_FIELD = {key: name for name, key in _JSON_KEY.items()}
+
+
 def _checked(section: dict, name: str) -> dict:
     if not isinstance(section, dict):
         raise ConfigError(f"{name} must be a JSON object")
@@ -100,9 +108,10 @@ def _checked(section: dict, name: str) -> dict:
     return section
 
 
-def _build(factory, kwargs: dict, name: str):
+def _parse_section(raw: dict, name: str, factory, **extra):
+    section = _checked(raw.get(name, {}), name)
     try:
-        return factory(**kwargs)
+        return factory(**{_FIELD.get(k, k): v for k, v in section.items()}, **extra)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{name}: {err}") from err
 
@@ -120,16 +129,8 @@ def parse_config(source) -> ExperimentConfig:
         raw = dict(source)
     _checked(raw, "top level")
 
-    rob_raw = dict(_checked(raw.get("robustness", {}), "robustness"))
-    if "lambda" in rob_raw:
-        rob_raw["lam"] = rob_raw.pop("lambda")
-    robustness = _build(RobustnessConfig, rob_raw, "robustness")
-    channel = _build(ChannelConfig, _checked(raw.get("channel", {}), "channel"), "channel")
-    p_in = _build(PerturbSpec, _checked(raw.get("perturb_inner", {}), "perturb_inner"),
-                  "perturb_inner")
-    p_out = _build(PerturbSpec, _checked(raw.get("perturb_outer", {}), "perturb_outer"),
-                   "perturb_outer")
-
+    sections = {name: _parse_section(raw, name, factory)
+                for name, factory in _TRAIN_SECTIONS.items()}
     try:
         mode = Mode(raw.get("mode", "wasecom"))
     except ValueError as err:
@@ -139,58 +140,43 @@ def parse_config(source) -> ExperimentConfig:
     except ValueError as err:
         raise ConfigError(f"task: {err}") from err
 
-    train = _build(TrainConfig,
-                   dict(_checked(raw.get("train", {}), "train"),
-                        seed=int(raw.get("seed", 0)), mode=mode,
-                        robustness=robustness, channel=channel,
-                        perturb_inner=p_in, perturb_outer=p_out),
-                   "train")
+    train = _parse_section(raw, "train", TrainConfig, seed=int(raw.get("seed", 0)), mode=mode,
+                           **sections)
     return ExperimentConfig(
         run_id=str(raw.get("run_id", "run")),
         out_dir=str(raw.get("out_dir", "runs/run")),
         task=task,
-        dataset=_build(DatasetSpec, _checked(raw.get("dataset", {}), "dataset"), "dataset"),
-        model=_build(ModelSpec, _checked(raw.get("model", {}), "model"), "model"),
+        dataset=_parse_section(raw, "dataset", DatasetSpec),
+        model=_parse_section(raw, "model", ModelSpec),
         train=train,
-        eval_plan=_build(EvalPlan, _checked(raw.get("eval", {}), "eval"), "eval"),
+        eval_plan=_parse_section(raw, "eval", EvalPlan),
     )
 
 
+def _section(obj, skip=()) -> dict:
+    """A dataclass's fields under their JSON keys, enums by value."""
+    out = {}
+    for f in fields(obj):
+        if f.name not in skip:
+            value = getattr(obj, f.name)
+            out[_JSON_KEY.get(f.name, f.name)] = value.value if isinstance(value, Enum) else value
+    return out
+
+
 def to_canonical_dict(cfg: ExperimentConfig) -> dict:
-    rob = cfg.train.robustness
+    train = cfg.train
     return {
         "run_id": cfg.run_id,
         "out_dir": cfg.out_dir,
-        "seed": cfg.train.seed,
-        "mode": cfg.train.mode.value,
+        "seed": train.seed,
+        "mode": train.mode.value,
         "task": cfg.task.value,
-        "dataset": {"kind": cfg.dataset.kind, "n": cfg.dataset.n, "side": cfg.dataset.side,
-                    "vocab_size": cfg.dataset.vocab_size, "max_len": cfg.dataset.max_len,
-                    "path": cfg.dataset.path},
-        "model": {"semantic_dim": cfg.model.semantic_dim, "signal_dim": cfg.model.signal_dim,
-                  "hidden_dim": cfg.model.hidden_dim, "embed_dim": cfg.model.embed_dim},
-        "train": {"epochs": cfg.train.epochs, "batch_size": cfg.train.batch_size,
-                  "lr": cfg.train.lr, "optimizer": cfg.train.optimizer,
-                  "sub_steps": cfg.train.sub_steps, "dual_lr": cfg.train.dual_lr,
-                  "checkpoint_every": cfg.train.checkpoint_every},
-        "channel": {"kind": cfg.train.channel.kind.value, "snr_db": cfg.train.channel.snr_db},
-        "robustness": {"rho": rob.rho, "mu": rob.mu, "lambda": rob.lam, "gamma": rob.gamma,
-                       "epsilon_temp": rob.epsilon_temp, "use_lse": rob.use_lse,
-                       "lambda_learnable": rob.lambda_learnable},
-        "perturb_inner": _perturb_dict(cfg.train.perturb_inner),
-        "perturb_outer": _perturb_dict(cfg.train.perturb_outer),
-        "eval": {"snr_db": list(cfg.eval_plan.snr_db),
-                 "attack_eps": list(cfg.eval_plan.attack_eps),
-                 "attack_fraction": cfg.eval_plan.attack_fraction,
-                 "batch_size": cfg.eval_plan.batch_size},
+        "dataset": _section(cfg.dataset),
+        "model": _section(cfg.model),
+        "train": _section(train, skip={"seed", "mode", *_TRAIN_SECTIONS}),
+        **{name: _section(getattr(train, name)) for name in _TRAIN_SECTIONS},
+        "eval": _section(cfg.eval_plan),
     }
-
-
-def _perturb_dict(spec: PerturbSpec) -> dict:
-    return {"method": spec.method.value, "radius": spec.radius,
-            "epsilon_inf": spec.epsilon_inf, "step_size": spec.step_size,
-            "steps": spec.steps, "sample_count": spec.sample_count,
-            "sample_fraction": spec.sample_fraction}
 
 
 # The schema is what serialization writes: the top-level keys and those of each

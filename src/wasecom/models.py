@@ -13,6 +13,7 @@ the alternating updates well defined.
 """
 from __future__ import annotations
 
+import dataclasses
 import enum
 import os
 import struct
@@ -267,19 +268,10 @@ _ACT_CODE = {"tanh": 0, "relu": 1, "linear": 2}
 
 
 def _header_fields(bundle: ModelBundle) -> dict:
-    d = bundle.dims
-    return {
-        "task": _TASK_CODE[bundle.task],
-        "activation": _ACT_CODE[bundle.activation],
-        "normalize": int(bundle.normalize_signal),
-        "input_dim": d.input_dim,
-        "semantic_dim": d.semantic_dim,
-        "signal_dim": d.signal_dim,
-        "hidden_dim": d.hidden_dim,
-        "vocab_size": d.vocab_size,
-        "seq_len": d.seq_len,
-        "embed_dim": d.embed_dim,
-    }
+    """The header record: three bundle codes, then every ModelDims field in order."""
+    return {"task": _TASK_CODE[bundle.task], "activation": _ACT_CODE[bundle.activation],
+            "normalize": int(bundle.normalize_signal),
+            **{f.name: getattr(bundle.dims, f.name) for f in dataclasses.fields(ModelDims)}}
 
 
 def save_checkpoint(bundle: ModelBundle, path):
@@ -346,10 +338,7 @@ def load_checkpoint(path) -> ModelBundle:
         (fields[key],) = reader.unpack("<q")
     task = TaskKind.TEXT if fields["task"] else TaskKind.IMAGE
     activation = {v: k for k, v in _ACT_CODE.items()}[fields["activation"]]
-    dims = ModelDims(input_dim=fields["input_dim"], semantic_dim=fields["semantic_dim"],
-                     signal_dim=fields["signal_dim"], hidden_dim=fields["hidden_dim"],
-                     vocab_size=fields["vocab_size"], seq_len=fields["seq_len"],
-                     embed_dim=fields["embed_dim"])
+    dims = ModelDims(**{f.name: fields[f.name] for f in dataclasses.fields(ModelDims)})
     bundle = ModelBundle(task, dims, activation=activation,
                          normalize_signal=bool(fields["normalize"]), init="zeros")
     lookup = dict(bundle.named_params())

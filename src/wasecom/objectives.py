@@ -59,16 +59,6 @@ class DualObjectiveValue:
     worst_case: np.ndarray | None = None
 
 
-def transport_cost(a, b) -> np.ndarray:
-    """Per-sample squared Euclidean ground cost between row-aligned batches."""
-    da = a.data if isinstance(a, Tensor) else np.asarray(a, dtype=float)
-    db = b.data if isinstance(b, Tensor) else np.asarray(b, dtype=float)
-    if da.shape != db.shape:
-        raise ValueError(f"transport_cost: shape mismatch {da.shape} vs {db.shape}")
-    d = (da - db).reshape(len(da), -1)
-    return np.sum(d * d, axis=1)
-
-
 def _cost_in_graph(leaf: Tensor, center: np.ndarray) -> Tensor:
     return (leaf - Tensor(center)).square().sum(axis=1)
 

@@ -309,12 +309,18 @@ class TheoryCheckReport:
     primal: float
     dual: float
     lam_star: float
-    gap: float
-    rel_gap: float
     lipschitz_term: float = 0.0      # 2 L rho
     dual_mismatch_term: float = 0.0  # |lam - lam*| rho^2
     sandwich_margin: float = 0.0     # slack left under the bound, as a fraction
     assertions: dict = field(default_factory=dict)
+
+    @property
+    def gap(self) -> float:
+        return abs(self.primal - self.dual)
+
+    @property
+    def rel_gap(self) -> float:
+        return self.gap / max(abs(self.primal), 1e-12)
 
     @property
     def passed(self) -> bool:
@@ -379,7 +385,6 @@ def check_lemma1(P: DiscreteDistribution, family, member: int, rho: float, lam: 
     return TheoryCheckReport(
         instance=f"lemma-sandwich(member={member},rho={rho},lam={lam})",
         primal=primal, dual=dual, lam_star=lam_star,
-        gap=abs(primal - dual), rel_gap=abs(primal - dual) / max(abs(primal), 1e-12),
         lipschitz_term=2 * L * rho, dual_mismatch_term=abs(lam - lam_star) * rho**2,
         sandwich_margin=margin,
         assertions={"hypothesis": True, "fact1a": fact1a_ok, "sandwich": sandwich_ok,
@@ -445,17 +450,14 @@ def run_theory_suite(n_ball_samples: int = 100, seed: int = 0) -> list[TheoryChe
         C = _grid_costs(inst.P, inst.grid)
         lvals = _loss_on_grid(inst.loss_fn, inst.grid)
         primal, _, dual, lam_star = _certified(inst.P, lvals, C, inst.radius)
-        gap = abs(primal - dual)
-        rel = gap / max(abs(primal), 1e-9)
         dominance_ok = True
         if inst.radius > 0:
             plans = _sample_plan_stack(inst.P, C, inst.radius, n_ball_samples, rng)
             dominance_ok = bool(np.all(plans.sum(axis=1) @ lvals <= dual + 1e-9))
-        reports.append(TheoryCheckReport(
-            instance=inst.name, primal=primal, dual=dual, lam_star=lam_star,
-            gap=gap, rel_gap=rel,
-            assertions={"duality_gap": rel <= DUALITY_REL_TOL or gap <= 1e-9,
-                        "dual_dominates_ball": dominance_ok,
-                        "dual_above_primal": dual >= primal - 1e-9},
-        ))
+        report = TheoryCheckReport(instance=inst.name, primal=primal, dual=dual,
+                                   lam_star=lam_star)
+        closed = report.rel_gap <= DUALITY_REL_TOL or report.gap <= 1e-9
+        report.assertions = {"duality_gap": closed, "dual_dominates_ball": dominance_ok,
+                             "dual_above_primal": dual >= primal - 1e-9}
+        reports.append(report)
     return reports

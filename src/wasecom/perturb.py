@@ -69,7 +69,7 @@ def project_ball(x_tilde: np.ndarray, center: np.ndarray, radius: float) -> np.n
 
 
 def _value_and_grad(loss_fn, x: np.ndarray):
-    leaf = Tensor(x.copy(), requires_grad=True)
+    leaf = Tensor(x, requires_grad=True)  # nothing writes a leaf's data
     per_sample = loss_fn(leaf)
     per_sample.sum().backward()
     return per_sample.data, leaf.grad  # the leaf and its graph die with this call

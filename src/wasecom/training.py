@@ -106,7 +106,6 @@ class StepRecord:
 @dataclass
 class TrainLog:
     records: list = field(default_factory=list)
-    evals: list = field(default_factory=list)   # (step, MetricsRecord)
 
     def append(self, rec: StepRecord):
         if self.records and rec.step < self.records[-1].step:

@@ -20,14 +20,6 @@ def text_bundle(seed=0):
     return M.ModelBundle(M.TaskKind.TEXT, dims, seed=seed)
 
 
-def test_transport_cost_squared_euclidean():
-    a = np.array([[0.0, 0.0], [1.0, 2.0]])
-    b = np.array([[1.0, 1.0], [1.0, 2.0]])
-    assert np.array_equal(O.transport_cost(a, b), [2.0, 0.0])
-    with pytest.raises(ValueError):
-        O.transport_cost(a, np.zeros((3, 2)))
-
-
 def lse_smooth(values, epsilon_temp: float) -> float:
     """Reference LSE: epsilon * log(mean_k exp(v_k / epsilon)), stabilized by max subtraction."""
     v = np.asarray(values, dtype=float)

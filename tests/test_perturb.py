@@ -56,12 +56,14 @@ def test_fgsm_zero_gradient_is_noop():
 def test_budget_invariant_fgsm_and_pgd():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(8, 5))
+    x_before = x.copy()
     w = rng.normal(size=5)
     for spec in (PerturbSpec(method="fgsm", radius=0.3, epsilon_inf=0.2),
                  PerturbSpec(method="pgd", radius=0.3, steps=5)):
         out = fgsm(linear_loss(w), x, spec) if spec.method is PerturbMethod.FGSM else pgd(linear_loss(w), x, spec)
         norms = np.linalg.norm(out - x, axis=1)
         assert np.all(norms <= 0.3 + 1e-9)
+        assert np.array_equal(x, x_before)  # the caller's input is never written
 
 
 def test_pgd_converges_on_concave_quadratic():
