@@ -4,6 +4,8 @@ Every nontrivial value here is recomputed by an independent route: permutation
 enumeration for uniform couplings, the CDF integral for 1-D W1, endpoint
 enumeration for the single-atom budget LP, and a hand-solved 2x2 instance.
 """
+import hashlib
+
 import numpy as np
 import pytest
 from itertools import permutations
@@ -436,3 +438,41 @@ def test_theory_suite_matches_the_public_calls_bitwise():
         dual, lam_star = ot.dual_value(inst.P, inst.loss_fn, inst.radius, inst.grid)
         assert rep.instance == inst.name
         assert (rep.primal, rep.dual, rep.lam_star) == (primal, dual, lam_star), inst.name
+
+
+def _theory_audit(seed):
+    # the suite and the lemma-1 sandwich exactly as `wasecom check-theory` runs them
+    reports = ot.run_theory_suite(n_ball_samples=100, seed=seed)
+    family = [lambda x: float(x[0]), lambda x: 0.5 * float(x[0]) + 0.1, lambda x: -float(x[0])]
+    pair = _dist([[-0.5], [0.5]])
+    reports.append(ot.check_lemma1(pair, family, member=0, rho=0.3, lam=4.0,
+                                   grid=ot.grid_1d(-1.5, 1.5, 301), lipschitz=1.0,
+                                   rng=np.random.default_rng(seed)))
+    return reports
+
+
+# sha256 of every report's row, repr'd numbers and flags; of the suite's sampled plans
+PINNED_THEORY_AUDITS = {
+    0: ("f61f1a62391890fe3713b33fd1bacfea8f2799378a96258b1d818235fac93043",
+        "9c6dd2e12416a53df13a7342fe2dc243b3ab3a9916c43afbd20fb3e3de7db7b8"),
+    7: ("f61f1a62391890fe3713b33fd1bacfea8f2799378a96258b1d818235fac93043",
+        "724e5685290ea6d646f2f9879b61ad0383010fd1a6c0b63c6aa6ab372ac4cc45"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_THEORY_AUDITS))
+def test_theory_audit_is_pinned(seed):
+    reports_sha, plans_sha = PINNED_THEORY_AUDITS[seed]
+    h = hashlib.sha256()
+    for r in _theory_audit(seed):
+        h.update(repr((r.row(), r.primal, r.dual, r.lam_star, r.lipschitz_term,
+                       r.dual_mismatch_term, r.sandwich_margin, r.assertions)).encode())
+    assert h.hexdigest() == reports_sha
+    # the plans the suite draws: one stream, one call per instance with a ball
+    rng = np.random.default_rng(seed)
+    h = hashlib.sha256()
+    for inst in ot.bundled_instances():
+        if inst.radius > 0:
+            h.update(np.stack(ot.sample_plans_in_ball(inst.P, inst.grid, inst.radius, 100,
+                                                      rng)).tobytes())
+    assert h.hexdigest() == plans_sha
