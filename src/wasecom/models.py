@@ -335,12 +335,21 @@ def load_checkpoint(path) -> ModelBundle:
     for _ in range(n_fields):
         (klen,) = reader.unpack("<H")
         key = reader.take(klen).decode()
+        if key in fields:
+            raise ValueError(f"checkpoint header repeats key {key!r}")
         (fields[key],) = reader.unpack("<q")
-    task = TaskKind.TEXT if fields["task"] else TaskKind.IMAGE
-    activation = {v: k for k, v in _ACT_CODE.items()}[fields["activation"]]
-    dims = ModelDims(**{f.name: fields[f.name] for f in dataclasses.fields(ModelDims)})
-    bundle = ModelBundle(task, dims, activation=activation,
-                         normalize_signal=bool(fields["normalize"]), init="zeros")
+    dim_keys = [f.name for f in dataclasses.fields(ModelDims)]
+    expected = {"task", "activation", "normalize", *dim_keys}
+    if fields.keys() - expected:
+        raise ValueError(f"checkpoint header has unknown keys {sorted(fields.keys() - expected)}")
+    if expected - fields.keys():
+        raise ValueError(f"checkpoint header lacks keys {sorted(expected - fields.keys())}")
+    dims = ModelDims(**{k: fields[k] for k in dim_keys})
+    bundle = ModelBundle(_decode(_TASK_CODE, "task", fields["task"]), dims,
+                         activation=_decode(_ACT_CODE, "activation", fields["activation"]),
+                         normalize_signal=_decode({False: 0, True: 1}, "normalize",
+                                                  fields["normalize"]),
+                         init="zeros")
     lookup = dict(bundle.named_params())
     (n_params,) = reader.unpack("<I")
     for _ in range(n_params):
@@ -351,8 +360,21 @@ def load_checkpoint(path) -> ModelBundle:
         count = int(np.prod(shape)) if rank else 1
         payload = np.frombuffer(reader.take(8 * count), dtype="<f8").reshape(shape)
         if name not in lookup:
-            raise ValueError(f"checkpoint has unknown parameter {name!r}")
-        if lookup[name].data.shape != payload.shape:
-            raise ValueError(f"shape mismatch for {name!r}: {lookup[name].data.shape} vs {payload.shape}")
-        lookup[name].data[...] = payload
+            raise ValueError(f"checkpoint has unknown or repeated parameter {name!r}")
+        param = lookup.pop(name)
+        if param.data.shape != payload.shape:
+            raise ValueError(f"shape mismatch for {name!r}: {param.data.shape} vs {payload.shape}")
+        param.data[...] = payload
+    if lookup:
+        raise ValueError(f"checkpoint lacks parameters {sorted(lookup)}")
+    if reader.pos != len(reader.blob):
+        raise ValueError(f"checkpoint has {len(reader.blob) - reader.pos} trailing bytes")
     return bundle
+
+
+def _decode(codes: dict, key: str, code: int):
+    """The value that `codes` maps to `code`, for header field `key`."""
+    for value, c in codes.items():
+        if c == code:
+            return value
+    raise ValueError(f"checkpoint header has unknown {key} code {code}")

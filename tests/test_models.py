@@ -251,6 +251,49 @@ def test_checkpoint_rejects_truncation(tmp_path):
         M.load_checkpoint(cut)
 
 
+def _drop(key):
+    return lambda fields: {k: v for k, v in fields.items() if k != key}
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_drop("embed_dim"), r"lacks keys \['embed_dim'\]"),
+    (lambda fields: {**fields, "colour": 3}, r"unknown keys \['colour'\]"),
+    (lambda fields: {**fields, "task": 2}, "unknown task code 2"),
+    (lambda fields: {**fields, "activation": 7}, "unknown activation code 7"),
+    (lambda fields: {**fields, "normalize": 2}, "unknown normalize code 2"),
+], ids=["missing-dims-key", "unknown-key", "task-code", "activation-code", "normalize-code"])
+def test_checkpoint_rejects_bad_header(tmp_path, monkeypatch, edit, message):
+    header_fields = M._header_fields
+    monkeypatch.setattr(M, "_header_fields", lambda bundle: edit(header_fields(bundle)))
+    path = tmp_path / "ckpt.bin"
+    M.save_checkpoint(image_bundle(seed=16), path)
+    with pytest.raises(ValueError, match=message):
+        M.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda named: named[:-1], r"lacks parameters \['chan_dec\.b1'\]"),
+    (lambda named: named + named[:1], "repeated parameter 'sem_enc.w0'"),
+], ids=["left-out", "repeated"])
+def test_checkpoint_needs_every_parameter_once(tmp_path, edit, message):
+    b = image_bundle(seed=17)
+    named = b.named_params()
+    assert named[0][0] == "sem_enc.w0" and named[-1][0] == "chan_dec.b1"
+    b.named_params = lambda: edit(named)
+    path = tmp_path / "ckpt.bin"
+    M.save_checkpoint(b, path)
+    with pytest.raises(ValueError, match=message):
+        M.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "ckpt.bin"
+    M.save_checkpoint(image_bundle(seed=18), path)
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(ValueError, match="1 trailing bytes"):
+        M.load_checkpoint(path)
+
+
 def test_dims_validation():
     with pytest.raises(ValueError, match="vocab_size"):
         M.ModelDims(input_dim=10, semantic_dim=4, signal_dim=4, hidden_dim=8,

@@ -5,6 +5,7 @@ enumeration for uniform couplings, the CDF integral for 1-D W1, endpoint
 enumeration for the single-atom budget LP, and a hand-solved 2x2 instance.
 """
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,6 +162,13 @@ def test_input_contracts():
         DiscreteDistribution(np.zeros((2, 1)), np.array([0.5, 0.6]))
     with pytest.raises(ValueError, match="length"):
         DiscreteDistribution(np.zeros((2, 1)), np.array([1.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_weights_are_rejected(bad):
+    # NaN passes both the sign and the sum check; inf fails only the sum check
+    with pytest.raises(ValueError, match="non-finite weights"):
+        DiscreteDistribution(np.zeros((2, 1)), np.array([bad, 1.0]))
 
 
 # ----------------------------------------------------------- worst case LP
@@ -379,6 +387,17 @@ def test_sampled_plans_are_feasible_on_bundled_instances(seed):
             assert float((plan * C).sum()) <= inst.radius**2 + 1e-9, inst.name
 
 
+@pytest.mark.parametrize("seed", [0, 5, 11])
+def test_suite_marginals_equal_the_dense_plans_sums(seed):
+    for inst in ot.bundled_instances():
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        C = ot._grid_costs(inst.P, inst.grid)
+        got = ot._sample_marginals(inst.P, C, inst.radius, 100, rng_a)
+        want = np.sum(ot.sample_plans_in_ball(inst.P, inst.grid, inst.radius, 100, rng_b), axis=1)
+        assert np.array_equal(got, want), inst.name
+        assert rng_a.random() == rng_b.random(), inst.name
+
+
 def test_sampler_rejects_negative_count():
     with pytest.raises(ValueError, match="count"):
         ot.sample_plans_in_ball(dirac([0.0]), ot.grid_1d(-1, 1, 11), 0.5, -1,
@@ -476,3 +495,15 @@ def test_theory_audit_is_pinned(seed):
             h.update(np.stack(ot.sample_plans_in_ball(inst.P, inst.grid, inst.radius, 100,
                                                       rng)).tobytes())
     assert h.hexdigest() == plans_sha
+
+
+def test_theory_suite_holds_no_dense_plan_stack():
+    # 100 dense (3, 1681) plans of 2d-tri-smooth alone are 4.0 MB
+    ot.run_theory_suite(n_ball_samples=5)
+    tracemalloc.start()
+    try:
+        ot.run_theory_suite(n_ball_samples=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak

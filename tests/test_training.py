@@ -1,8 +1,11 @@
 import hashlib
+import os
 import platform
 import resource
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -451,3 +454,54 @@ def test_robust_text_steps_do_not_refault_the_heap():
         train(cfg, data, dims=dims, on_step=on_step)
     per_step = (faults[9] - faults[1]) / 8   # after 2 warm-up steps
     assert per_step < 20, per_step
+
+
+# The audit's order: a theory suite, then the evaluate grid of both bundles,
+# 24 cells; prints the faults per cell of the second suite and grid.
+_AUDIT_FAULTS_SCRIPT = """
+import resource
+from wasecom import ot
+from wasecom.channel import ChannelConfig, ChannelKind
+from wasecom.data import generate_synthetic_images, generate_synthetic_text
+from wasecom.models import ModelBundle, ModelDims, TaskKind
+from wasecom.perturb import PerturbMethod, PerturbSpec
+from wasecom.training import evaluate
+
+cases = [(ModelBundle(TaskKind.IMAGE, ModelDims(64, 16, 16, 32), seed=1),
+          generate_synthetic_images(1024, side=8, seed=1), 1.0),
+         (ModelBundle(TaskKind.TEXT, ModelDims(64, 32, 96, 64, vocab_size=32, seq_len=8,
+                                               embed_dim=8), seed=1),
+          generate_synthetic_text(512, vocab_size=32, max_len=8, seed=1), 0.01)]
+
+def audit_pass():
+    ot.run_theory_suite(n_ball_samples=100, seed=1)
+    cells = 0
+    for bundle, data, radius in cases:
+        attack = PerturbSpec(PerturbMethod.FGSM, radius=radius, epsilon_inf=1.0,
+                             sample_fraction=0.3)
+        for kind in (ChannelKind.AWGN, ChannelKind.RAYLEIGH):
+            for snr in (0.0, 10.0, 20.0):
+                for atk in (None, attack):
+                    evaluate(bundle, data, ChannelConfig(kind, snr), atk, seed=123)
+                    cells += 1
+    return cells
+
+audit_pass()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+cells = audit_pass()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / cells)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                    reason="the heap pad is set through glibc's mallopt")
+def test_audit_cells_do_not_refault_the_heap():
+    # A fresh process, so that no earlier test has grown the heap.  Freed
+    # chunks that glibc had mmapped raise its mmap threshold, so what the
+    # suite frees decides which of the grid's arrays come from the padded heap.
+    src = str(Path(TR.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", _AUDIT_FAULTS_SCRIPT], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    per_cell = float(out.stdout.split()[-1])
+    assert per_cell < 20, per_cell
