@@ -210,17 +210,31 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _sweep_cell(payload) -> str:
-    """One (snr, eps) evaluation; module-level so process pools can pickle it."""
-    config_json, ckpt_path, snr, eps = payload
+# a pool worker's (config, checkpoint bundle, dataset), set once per worker by
+# _init_sweep_worker; the in-process sweep passes its own to _sweep_cell instead
+_worker_inputs = None
+
+
+def _init_sweep_worker(config_json: str, ckpt_path: str):
+    global _worker_inputs
     cfg = parse_config(config_json)
-    bundle = load_checkpoint(ckpt_path)
-    data = build_dataset(cfg)
+    _worker_inputs = (cfg, load_checkpoint(ckpt_path), build_dataset(cfg))
+
+
+def _sweep_cell(inputs, snr: float, eps: float) -> str:
+    """One (snr, eps) evaluation of the sweep's checkpoint on its dataset;
+    `inputs` is (config, checkpoint bundle, dataset)."""
+    cfg, bundle, data = inputs
     channel = dataclasses.replace(cfg.train.channel, snr_db=snr)
     attack = _attack_for(eps, cfg.eval_plan.attack_fraction)
     rec = evaluate(bundle, data, channel, attack=attack,
                    seed=cfg.train.seed, batch_size=cfg.eval_plan.batch_size)
     return rec.csv_row()
+
+
+def _worker_sweep_cell(cell) -> str:
+    """A pool worker's cell; module-level so process pools can pickle it."""
+    return _sweep_cell(_worker_inputs, *cell)
 
 
 def _cmd_sweep(args) -> int:
@@ -229,19 +243,21 @@ def _cmd_sweep(args) -> int:
     snrs = args.snr if args.snr else list(cfg.eval_plan.snr_db)
     eps_list = args.attack_eps if args.attack_eps is not None else list(cfg.eval_plan.attack_eps)
     if args.ckpt:
-        ckpt_path = args.ckpt
+        ckpt_path, data = args.ckpt, None
     else:
         data = build_dataset(cfg)
         bundle, _ = train(cfg.train, data, dims=model_dims(cfg, data))
         ckpt_path = str(out / "model.ckpt")
         save_checkpoint(bundle, ckpt_path)
     config_json = serialize_config(cfg)
-    cells = [(config_json, ckpt_path, snr, eps) for snr in snrs for eps in eps_list]
+    cells = [(snr, eps) for snr in snrs for eps in eps_list]
     if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(_sweep_cell, cells))
+        with ProcessPoolExecutor(max_workers=args.workers, initializer=_init_sweep_worker,
+                                 initargs=(config_json, ckpt_path)) as pool:
+            rows = list(pool.map(_worker_sweep_cell, cells))
     else:
-        rows = [_sweep_cell(cell) for cell in cells]
+        inputs = (cfg, load_checkpoint(ckpt_path), build_dataset(cfg) if data is None else data)
+        rows = [_sweep_cell(inputs, *cell) for cell in cells]
     (out / "sweep.csv").write_text("\n".join([MetricsRecord.CSV_HEADER] + rows) + "\n")
     print(f"{len(rows)} cells -> {out / 'sweep.csv'}")
     return 0

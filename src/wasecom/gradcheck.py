@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .objectives import lse_combine
 from .tensor import Tensor
 
 
@@ -69,10 +70,11 @@ def check_case(name, forward, leaves, rel_tol=1e-4, abs_tol=1e-6, h=1e-5) -> Gra
 
 
 # --------------------------------------------------------------- graph pool
+# Each case builds its constant Tensors once; every probe's forward pass reuses them.
 def _mlp_case(rng):
     b, din, dh, dout = rng.integers(2, 5), rng.integers(2, 6), rng.integers(2, 7), rng.integers(2, 5)
-    x = rng.normal(size=(b, din))
-    tgt = rng.normal(size=(b, dout))
+    x = Tensor(rng.normal(size=(b, din)))
+    tgt = Tensor(rng.normal(size=(b, dout)))
     act = rng.choice(["tanh", "relu"])
     leaves = [
         rng.normal(size=(din, dh)) * 0.6,
@@ -83,9 +85,9 @@ def _mlp_case(rng):
 
     def forward(p):
         # first layer fused, second as the matmul + add chain: both forms stay checked
-        h = T.dense(Tensor(x), p[0], p[1], act)
+        h = T.dense(x, p[0], p[1], act)
         y = T.matmul(h, p[2]) + p[3]
-        err = (y - Tensor(tgt)).square().mean(axis=1)
+        err = (y - tgt).square().mean(axis=1)
         return err.mean()
 
     return f"mlp-{act}", forward, leaves
@@ -98,11 +100,12 @@ def _elementwise_case(rng):
     c = rng.normal(size=shape[1])  # broadcast along rows
     k = float(rng.uniform(0.5, 2.0))
     leaves = [a, b, c]
+    ones = Tensor(np.ones(shape))
 
     def forward(p):
         u = p[0] * p[1] + T.scale(p[2], k)
         v = u.tanh().square() + T.exp(T.scale(u, -0.5))
-        w = T.log(v.square() + Tensor(np.ones(shape)))
+        w = T.log(v.square() + ones)
         return w.sum(axis=0).mean()
 
     return "elementwise", forward, leaves
@@ -111,7 +114,7 @@ def _elementwise_case(rng):
 def _channel_case(rng):
     # power-normalized signal through h*u + w with a fixed channel draw
     b, din, dsig = int(rng.integers(2, 5)), int(rng.integers(3, 6)), int(rng.integers(3, 6))
-    x = rng.normal(size=(b, din))
+    x = Tensor(rng.normal(size=(b, din)))
     hch = np.repeat(rng.rayleigh(scale=1 / np.sqrt(2), size=(b, 1)), dsig, axis=1)
     wch = rng.normal(scale=0.3, size=(b, dsig))
     leaves = [rng.normal(size=(din, dsig)) * 0.7, rng.normal(size=(dsig, din)) * 0.7]
@@ -119,37 +122,30 @@ def _channel_case(rng):
     def forward(p):
         # the fused power normalization, channel and row loss; their chain forms
         # stay checked by the mlp, elementwise and reduction cases
-        u = T.rms_normalize(T.matmul(Tensor(x), p[0]), 1e-12)
+        u = T.rms_normalize(T.matmul(x, p[0]), 1e-12)
         z = T.scale_shift(u, hch, wch)
         xhat = T.matmul(z, p[1])
-        return T.row_mse(xhat, Tensor(x)).mean()
+        return T.row_mse(xhat, x).mean()
 
     return "channel-layer", forward, leaves
 
 
 def _lse_case(rng):
-    # smoothed worst case over K perturbed copies, the LSE training objective
+    # smoothed worst case over K perturbed copies, the LSE training objective:
+    # the K copies are scored in one stacked pass and combined by lse_combine
     b, din, k = int(rng.integers(2, 4)), int(rng.integers(2, 5)), int(rng.integers(2, 5))
     eps = float(rng.choice([1.0, 0.1]))
     lam = float(rng.uniform(0.2, 2.0))
     x = rng.normal(size=(b, din))
-    deltas = [rng.normal(scale=0.3, size=(b, din)) for _ in range(k)]
+    deltas = rng.normal(scale=0.3, size=(k, b, din))   # the same draws as k (b, din) calls
     leaves = [rng.normal(size=(din, din)) * 0.7, rng.normal(size=(din,)) * 0.1]
+    xt = Tensor((x + deltas).reshape(k * b, din))
+    cost = Tensor(np.sum(deltas**2, axis=2))
 
     def forward(p):
-        scored = []
-        for d in deltas:
-            xt = Tensor(x + d)
-            y = T.matmul(xt, p[0]) + p[1]
-            ls = (y - xt).square().mean(axis=1)
-            cost = Tensor(((d) ** 2).sum(axis=1))
-            scored.append(ls - T.scale(cost, lam))
-        m = Tensor(np.maximum.reduce([s.data for s in scored]))
-        acc = T.exp(T.scale(scored[0] - m, 1.0 / eps))
-        for s in scored[1:]:
-            acc = acc + T.exp(T.scale(s - m, 1.0 / eps))
-        lse = m + T.scale(T.log(T.scale(acc, 1.0 / len(scored))), eps)
-        return lse.mean()
+        y = T.matmul(xt, p[0]) + p[1]
+        ls = (y - xt).square().mean(axis=1).reshape(k, b)
+        return lse_combine(ls - T.scale(cost, lam), eps).mean()
 
     return "lse-objective", forward, leaves
 
@@ -173,12 +169,13 @@ def _reduction_case(rng):
     b, t, d = int(rng.integers(2, 4)), int(rng.integers(2, 4)), int(rng.integers(2, 5))
     leaves = [rng.normal(size=(b * t, d))]
     axis = int(rng.integers(0, 2))
+    ones, one = Tensor(np.ones((b, t * d))), Tensor(1.0)
 
     def forward(p):
         y = p[0].reshape(b, t * d)
-        y = (y + Tensor(np.ones((b, t * d)))).square()
+        y = (y + ones).square()
         z = y.sum(axis=axis)
-        return T.power(z.mean() + Tensor(1.0), 0.5) + T.scale((-p[0]).relu().sum(), 0.25)
+        return T.power(z.mean() + one, 0.5) + T.scale((-p[0]).relu().sum(), 0.25)
 
     return "reshape-reduce", forward, leaves
 

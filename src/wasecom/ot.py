@@ -168,11 +168,16 @@ def _grid_costs(P: DiscreteDistribution, grid: np.ndarray) -> np.ndarray:
     return _pairwise_distances(P.support, grid) ** 2
 
 
-def _loss_on_grid(loss_fn, grid: np.ndarray) -> np.ndarray:
-    vals = np.asarray([float(loss_fn(g)) for g in np.atleast_2d(grid)], dtype=float)
+def _finite_losses(vals: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(vals)):
         raise ValueError("loss is non-finite on the grid")
     return vals
+
+
+def _loss_on_grid(loss_fn, grid: np.ndarray) -> np.ndarray:
+    """A per-point loss evaluated at every grid point, one call each."""
+    return _finite_losses(np.asarray([float(loss_fn(g)) for g in np.atleast_2d(grid)],
+                                     dtype=float))
 
 
 def _nearest_in_budget(P: DiscreteDistribution, C: np.ndarray, radius: float):
@@ -294,17 +299,15 @@ def _sample_plan_slots(P: DiscreteDistribution, C: np.ndarray, radius: float, co
     return plan, atom, cells[plan, atom, s], mass[plan, atom, s]
 
 
-def _sample_marginals(P: DiscreteDistribution, C: np.ndarray, radius: float, count: int,
-                      rng: np.random.Generator) -> np.ndarray:
-    """The (count, g) column marginals of `count` sampled plans, without the plans.
+def _sampled_risks(P: DiscreteDistribution, C: np.ndarray, radius: float, count: int,
+                   rng: np.random.Generator, losses: np.ndarray) -> np.ndarray:
+    """E_Q[loss] of `count` sampled plans under each row of `losses` (F, g): (count, F).
 
-    Bit for bit the dense plans' sum over atoms: np.add.at adds in index order,
-    and each atom adds at most one slot per cell, so every column sums its atoms
-    in atom order."""
+    Scored straight from the plans' slots, without the plans or their marginals:
+    a plan's risk is the sum of its slots' mass * loss[cell], in slot order."""
     plan, _, cell, mass = _sample_plan_slots(P, C, radius, count, rng)
-    q = np.zeros((count, C.shape[1]))
-    np.add.at(q, (plan, cell), mass)
-    return q
+    return np.stack([np.bincount(plan, weights=mass * v[cell], minlength=count)
+                     for v in losses], axis=1)
 
 
 def sample_plans_in_ball(P: DiscreteDistribution, grid: np.ndarray, radius: float,
@@ -389,9 +392,9 @@ def check_lemma1(P: DiscreteDistribution, family, member: int, rho: float, lam: 
 
     identity = np.zeros_like(worst_plan)
     identity[np.arange(len(P.weights)), C.argmin(axis=1)] = P.weights
-    q = np.concatenate([_sample_marginals(P, C, rho, n_plans, rng),
-                        [worst_plan.sum(axis=0), identity.sum(axis=0)]])
-    true_risks = q @ V.T                       # (plans, family)
+    extremes = np.stack([worst_plan.sum(axis=0), identity.sum(axis=0)])
+    true_risks = np.concatenate([_sampled_risks(P, C, rho, n_plans, rng, V),
+                                 extremes @ V.T])       # (plans, family)
     fact1a_ok = bool(np.all(surr >= true_risks - 1e-9))
     true_excess = true_risks[:, member] - true_risks.min(axis=1)
     gaps = np.abs(true_excess - surr_excess)
@@ -415,9 +418,13 @@ def check_lemma1(P: DiscreteDistribution, family, member: int, rho: float, lam: 
 class TheoryInstance:
     name: str
     P: DiscreteDistribution
-    loss_fn: object
+    loss: object                 # array loss: (N, d) points -> (N,) values
     radius: float
     grid: np.ndarray
+
+    def loss_fn(self, point) -> float:
+        """The loss of one point, for the per-point API (worst_case_risk, dual_value)."""
+        return float(self.loss(np.atleast_2d(np.asarray(point, dtype=float)))[0])
 
 
 def grid_1d(lo: float, hi: float, n: int) -> np.ndarray:
@@ -443,20 +450,24 @@ def bundled_instances() -> list[TheoryInstance]:
     g1w = grid_1d(-1.5, 1.5, 601)
     g2 = grid_2d(-1.0, 1.0, 41)
     return [
-        TheoryInstance("dirac-linear", dirac([0.0]), lambda x: float(x[0]), 0.5, g1),
-        TheoryInstance("pair-linear", two, lambda x: float(x[0]), 0.3, g1w),
-        TheoryInstance("pair-steep", two, lambda x: 2.0 * float(x[0]), 0.3, g1w),
-        TheoryInstance("pair-neg", two, lambda x: -float(x[0]), 0.3, g1w),
-        TheoryInstance("skew-abs", skew, lambda x: abs(float(x[0])), 0.4, g1w),
-        TheoryInstance("tri-quadratic", tri, lambda x: float(x[0]) ** 2, 0.25, g1w),
-        TheoryInstance("pair-sine", two, lambda x: float(np.sin(2.0 * x[0])), 0.3, g1w),
+        TheoryInstance("dirac-linear", dirac([0.0]), lambda g: g[:, 0], 0.5, g1),
+        TheoryInstance("pair-linear", two, lambda g: g[:, 0], 0.3, g1w),
+        TheoryInstance("pair-steep", two, lambda g: 2.0 * g[:, 0], 0.3, g1w),
+        TheoryInstance("pair-neg", two, lambda g: -g[:, 0], 0.3, g1w),
+        TheoryInstance("skew-abs", skew, lambda g: np.abs(g[:, 0]), 0.4, g1w),
+        TheoryInstance("tri-quadratic", tri, lambda g: g[:, 0] ** 2, 0.25, g1w),
+        TheoryInstance("pair-sine", two, lambda g: np.sin(2.0 * g[:, 0]), 0.3, g1w),
         # zero radius: the grid must contain the support exactly
-        TheoryInstance("tri-zero-radius", tri, lambda x: float(np.tanh(x[0])), 0.0,
+        TheoryInstance("tri-zero-radius", tri, lambda g: np.tanh(g[:, 0]), 0.0,
                        np.array([[-0.8], [0.0], [0.6]])),
-        TheoryInstance("pair-constant", two, lambda x: 1.25, 0.3, g1w),
-        TheoryInstance("2d-dirac-sum", d2_point, lambda x: float(x[0] + x[1]), 0.5, g2),
-        TheoryInstance("2d-pair-norm", d2_pair, lambda x: float(np.linalg.norm(x)), 0.3, g2),
-        TheoryInstance("2d-tri-smooth", d2_tri, lambda x: float(np.tanh(x[0]) - 0.5 * x[1]), 0.2, g2),
+        TheoryInstance("pair-constant", two, lambda g: np.full(len(g), 1.25), 0.3, g1w),
+        TheoryInstance("2d-dirac-sum", d2_point, lambda g: g[:, 0] + g[:, 1], 0.5, g2),
+        # each row's dot with itself: the scalar norm's bits, which np.linalg.norm(axis=1)
+        # and einsum miss on some grid points
+        TheoryInstance("2d-pair-norm", d2_pair,
+                       lambda g: np.sqrt((g[:, None, :] @ g[:, :, None]).ravel()), 0.3, g2),
+        TheoryInstance("2d-tri-smooth", d2_tri, lambda g: np.tanh(g[:, 0]) - 0.5 * g[:, 1],
+                       0.2, g2),
     ]
 
 
@@ -466,12 +477,12 @@ def run_theory_suite(n_ball_samples: int = 100, seed: int = 0) -> list[TheoryChe
     reports = []
     for inst in bundled_instances():
         C = _grid_costs(inst.P, inst.grid)
-        lvals = _loss_on_grid(inst.loss_fn, inst.grid)
+        lvals = _finite_losses(inst.loss(inst.grid))
         primal, _, dual, lam_star = _certified(inst.P, lvals, C, inst.radius)
         dominance_ok = True
         if inst.radius > 0:
-            q = _sample_marginals(inst.P, C, inst.radius, n_ball_samples, rng)
-            dominance_ok = bool(np.all(q @ lvals <= dual + 1e-9))
+            risks = _sampled_risks(inst.P, C, inst.radius, n_ball_samples, rng, lvals[None])
+            dominance_ok = bool(np.all(risks <= dual + 1e-9))
         report = TheoryCheckReport(instance=inst.name, primal=primal, dual=dual,
                                    lam_star=lam_star)
         closed = report.rel_gap <= DUALITY_REL_TOL or report.gap <= 1e-9

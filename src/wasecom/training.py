@@ -210,6 +210,8 @@ def _train_alternating(cfg: TrainConfig, data: Dataset, dims, bundle, checkpoint
                     opt.step()
                     rec.wall_ms = (time.perf_counter() - t0) * 1e3
                     mean_cost[phase] = val.mean_cost
+                    # drop this phase's tape now, not when the next phase has built its own
+                    val = loss = None
             if robust:
                 rob = update_duals(rob, cfg.dual_lr, mean_cost["inner"], mean_cost["outer"])
             step += 1
@@ -287,6 +289,8 @@ def evaluate(bundle: ModelBundle, data, channel_cfg: ChannelConfig,
     mean token NLL.  The bundle is never mutated: all passes run on a frozen
     view and attack gradients stop at the perturbation leaf.
     """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     samples = data.eval if isinstance(data, Dataset) else np.asarray(data)
     if len(samples) == 0:
         raise ValueError("empty evaluation set")

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from wasecom import cli
 from wasecom.cli import main
 from wasecom.config import parse_config
 
@@ -97,6 +98,24 @@ def test_sweep_flag_overrides_and_workers_match_serial(tmp_path):
     rows2 = (d2 / "sweep.csv").read_text()
     assert rows1 == rows2
     assert len(rows1.splitlines()) == 3
+
+
+def test_serial_sweep_builds_its_dataset_once(tmp_path, monkeypatch):
+    cfg = _cfg_file(tmp_path)
+    assert main(["train", "--config", str(cfg)]) == 0
+    calls = []
+
+    def counting_build(config):
+        calls.append(config)
+        return real_build(config)
+
+    real_build = cli.build_dataset
+    monkeypatch.setattr(cli, "build_dataset", counting_build)
+    argv = ["sweep", "--config", str(cfg), "--ckpt", str(tmp_path / "out" / "model.ckpt"),
+            "--snr", "0,10", "--attack-eps", "0,0.1", "--out", str(tmp_path / "s")]
+    assert main(argv) == 0
+    assert len((tmp_path / "s" / "sweep.csv").read_text().splitlines()) == 1 + 2 * 2
+    assert len(calls) == 1   # not once per cell
 
 
 def test_bad_configs_exit_2(tmp_path, capsys):

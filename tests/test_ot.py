@@ -388,14 +388,51 @@ def test_sampled_plans_are_feasible_on_bundled_instances(seed):
 
 
 @pytest.mark.parametrize("seed", [0, 5, 11])
-def test_suite_marginals_equal_the_dense_plans_sums(seed):
+def test_slot_risks_equal_the_dense_plans_risks(seed):
+    # the sums run in another order, and on the odd losses they cancel, so the
+    # tolerance is relative to each plan's sum of |mass * loss|
     for inst in ot.bundled_instances():
+        if inst.radius == 0:
+            continue
         rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
         C = ot._grid_costs(inst.P, inst.grid)
-        got = ot._sample_marginals(inst.P, C, inst.radius, 100, rng_a)
-        want = np.sum(ot.sample_plans_in_ball(inst.P, inst.grid, inst.radius, 100, rng_b), axis=1)
-        assert np.array_equal(got, want), inst.name
+        lvals = inst.loss(inst.grid)
+        losses = np.stack([lvals, 1.0 - 2.0 * lvals])
+        got = ot._sampled_risks(inst.P, C, inst.radius, 100, rng_a, losses)
+        plans = ot.sample_plans_in_ball(inst.P, inst.grid, inst.radius, 100, rng_b)
+        want = np.array([[np.sum(plan * v) for v in losses] for plan in plans])
+        scale = np.array([[np.sum(plan * np.abs(v)) for v in losses] for plan in plans])
+        assert got.shape == (100, 2), inst.name
+        assert np.all(np.abs(got - want) <= 1e-15 * scale), inst.name
         assert rng_a.random() == rng_b.random(), inst.name
+
+
+# the bundled losses as per-point lambdas, the reference for their array forms
+REFERENCE_LOSSES = {
+    "dirac-linear": lambda x: float(x[0]),
+    "pair-linear": lambda x: float(x[0]),
+    "pair-steep": lambda x: 2.0 * float(x[0]),
+    "pair-neg": lambda x: -float(x[0]),
+    "skew-abs": lambda x: abs(float(x[0])),
+    "tri-quadratic": lambda x: float(x[0]) ** 2,
+    "pair-sine": lambda x: float(np.sin(2.0 * x[0])),
+    "tri-zero-radius": lambda x: float(np.tanh(x[0])),
+    "pair-constant": lambda x: 1.25,
+    "2d-dirac-sum": lambda x: float(x[0] + x[1]),
+    "2d-pair-norm": lambda x: float(np.linalg.norm(x)),
+    "2d-tri-smooth": lambda x: float(np.tanh(x[0]) - 0.5 * x[1]),
+}
+
+
+def test_array_losses_equal_the_per_point_losses_bitwise():
+    instances = ot.bundled_instances()
+    assert [inst.name for inst in instances] == list(REFERENCE_LOSSES)
+    for inst in instances:
+        want = np.array([REFERENCE_LOSSES[inst.name](g) for g in inst.grid])
+        got = inst.loss(inst.grid)
+        assert got.shape == (len(inst.grid),), inst.name
+        assert np.array_equal(got, want), inst.name
+        assert [inst.loss_fn(g) for g in inst.grid] == list(want), inst.name
 
 
 def test_sampler_rejects_negative_count():
@@ -500,7 +537,8 @@ def test_theory_audit_is_pinned(seed):
 
 
 def test_theory_suite_holds_no_dense_plan_stack():
-    # 100 dense (3, 1681) plans of 2d-tri-smooth alone are 4.0 MB
+    # 100 dense (3, 1681) plans of 2d-tri-smooth alone are 4.0 MB, and their
+    # (100, 1681) column marginals 1.3 MB
     ot.run_theory_suite(n_ball_samples=5)
     tracemalloc.start()
     try:
@@ -508,4 +546,4 @@ def test_theory_suite_holds_no_dense_plan_stack():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4_000_000, peak   # 7.1 MB with the dense stack
+    assert peak < 1_000_000, peak   # 7.1 MB with the dense stack, 2.9 MB with the marginals

@@ -5,6 +5,7 @@ import resource
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,34 @@ def test_outer_phase_leaves_semantic_params_alone(monkeypatch):
     # and the inner phase then moved the semantic group
     final_sem = [p.data for p in bundle.semantic_params()]
     assert any(not np.array_equal(a, b) for a, b in zip(final_sem, init_sem))
+
+
+@pytest.mark.parametrize("mode,outer_name,inner_name", [
+    (Mode.WASECOM, "outer_dual_loss", "inner_dual_loss"),
+    (Mode.ERM, "clean_outer_loss", "clean_inner_loss")])
+def test_outer_tape_is_freed_before_the_inner_phase_builds(monkeypatch, mode, outer_name,
+                                                            inner_name):
+    # the outer total's data array lives exactly as long as its node
+    data = _image_data(n=16)
+    cfg = _cfg(epochs=1, batch_size=8, mode=mode,
+               robustness=RobustnessConfig(rho=0.05, mu=0.05))
+    real_outer, real_inner = getattr(TR, outer_name), getattr(TR, inner_name)
+    outer_totals, alive_at_inner = [], []
+
+    def outer(*args, **kwargs):
+        result = real_outer(*args, **kwargs)
+        total = result.total if mode is Mode.WASECOM else result
+        outer_totals.append(weakref.ref(total.data))
+        return result
+
+    def inner(*args, **kwargs):
+        alive_at_inner.append(outer_totals[-1]() is not None)
+        return real_inner(*args, **kwargs)
+
+    monkeypatch.setattr(TR, outer_name, outer)
+    monkeypatch.setattr(TR, inner_name, inner)
+    train(cfg, data)
+    assert alive_at_inner == [False, False]   # one outer and one inner phase per minibatch
 
 
 @pytest.mark.parametrize("sub_steps", [1, 2])
@@ -315,6 +344,15 @@ def test_evaluate_deterministic_and_rejects_empty():
     assert r1 == r2
     with pytest.raises(ValueError, match="empty"):
         evaluate(bundle, np.zeros((0, data.feature_dim)), cfg)
+
+
+@pytest.mark.parametrize("batch_size", [0, -3])
+def test_evaluate_rejects_a_batch_size_below_one(batch_size):
+    # -3 used to evaluate nothing and report mse 0.0 at 100 dB
+    data = _image_data(n=12)
+    bundle = ModelBundle(data.task, _dims_for(data), seed=2)
+    with pytest.raises(ValueError, match="batch_size"):
+        evaluate(bundle, data, ChannelConfig(ChannelKind.AWGN, 10.0), batch_size=batch_size)
 
 
 @pytest.mark.parametrize("attack", [
