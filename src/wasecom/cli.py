@@ -61,8 +61,20 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _floats(text: str) -> list[float]:
-    return [_finite_float(tok) for tok in text.split(",") if tok.strip() != ""]
+def _radius(text: str) -> float:
+    """An argparse type for an attack radius: finite and nonnegative (0 = clean)."""
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
+    return value
+
+
+def _floats(text: str, item=_finite_float) -> list[float]:
+    return [item(tok) for tok in text.split(",") if tok.strip() != ""]
+
+
+def _radii(text: str) -> list[float]:
+    return _floats(text, _radius)
 
 
 def _positive_int(text: str) -> int:
@@ -99,12 +111,12 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="one evaluation cell on a checkpoint")
     common(ev, needs_ckpt=True)
     ev.add_argument("--snr", type=float, help="override channel snr_db")
-    ev.add_argument("--attack-eps", type=_finite_float, help="FGSM radius (0 = clean)")
+    ev.add_argument("--attack-eps", type=_radius, help="FGSM radius (0 = clean)")
 
     sw = sub.add_parser("sweep", help="SNR x attack grid to CSV")
     common(sw, needs_ckpt=True)
     sw.add_argument("--snr", type=_floats, help="comma list, e.g. 0,10,20")
-    sw.add_argument("--attack-eps", type=_floats, help="comma list, e.g. 0,0.1")
+    sw.add_argument("--attack-eps", type=_radii, help="comma list, e.g. 0,0.1")
     sw.add_argument("--workers", type=_positive_int, default=1,
                     help="process count for sweep cells")
 
@@ -171,7 +183,7 @@ def _write_metrics(path: Path, records: list[MetricsRecord]):
 
 
 def _attack_for(eps: float, fraction: float) -> PerturbSpec | None:
-    if eps is None or eps <= 0:
+    if not eps:  # None or 0: the clean cell
         return None
     return PerturbSpec(PerturbMethod.FGSM, radius=eps, sample_fraction=fraction)
 

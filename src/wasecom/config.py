@@ -79,6 +79,8 @@ class EvalPlan:
         for name in ("snr_db", "attack_eps"):
             if not all(math.isfinite(v) for v in getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if any(eps < 0 for eps in self.attack_eps):
+            raise ValueError(f"attack_eps radii must be nonnegative, got {self.attack_eps}")
 
 
 @dataclass

@@ -70,92 +70,51 @@ class ModelDims:
         return self.semantic_dim // self.seq_len if self.seq_len else self.semantic_dim
 
 
-class Mlp:
-    """Dense stack; activation between layers, linear output."""
-
-    def __init__(self, sizes, activation="tanh", rng=None, init="xavier"):
-        self.sizes = list(sizes)
-        self.activation = activation
-        self.weights, self.biases = [], []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            if init == "zeros" or rng is None:
-                w = Tensor(np.zeros((fan_in, fan_out)), requires_grad=True)
-            else:
-                w = Tensor.uniform_init(rng, fan_in, fan_out)
-            self.weights.append(w)
-            self.biases.append(Tensor(np.zeros(fan_out), requires_grad=True))
-
-    def __call__(self, x: Tensor) -> Tensor:
-        hidden = self.activation if self.activation in ("tanh", "relu") else None
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            x = T.dense(x, w, b, hidden if i < last else None)
-        return x
-
-    def params(self):
-        out = []
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out.append((f"w{i}", w))
-            out.append((f"b{i}", b))
-        return out
-
-    def _view_with(self, tensors):
-        clone = object.__new__(Mlp)
-        clone.sizes = self.sizes
-        clone.activation = self.activation
-        clone.weights = tensors[0::2]
-        clone.biases = tensors[1::2]
-        return clone
+def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
+    """A Xavier-uniform (fan_in, fan_out) weight matrix."""
+    bound = np.sqrt(6.0 / (fan_in + fan_out))
+    return Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)), requires_grad=True)
 
 
 class ModelBundle:
-    def __init__(self, task: TaskKind, dims: ModelDims, seed=0, activation="tanh",
-                 normalize_signal=True, init="xavier"):
+    """The four networks, each tanh(x @ w0 + b0) @ w1 + b1, and for text an
+    embedding table.
+
+    `params` holds every parameter under its checkpoint name, in checkpoint
+    order: `embed` (text only), then `sem_enc`, `sem_dec`, `chan_enc` and
+    `chan_dec`, each as `.w0 .b0 .w1 .b1`.
+    """
+
+    def __init__(self, task: TaskKind, dims: ModelDims, seed=0):
         self.task = TaskKind(task)
-        self.dims = dims
-        self.activation = activation
-        self.normalize_signal = normalize_signal
+        self.dims = d = dims
         rng = np.random.default_rng([int(seed), 0])
+        self.params = {}
         if self.task is TaskKind.TEXT:
-            if init == "zeros":
-                self.embed = Tensor(np.zeros((dims.vocab_size, dims.embed_dim)), requires_grad=True)
-            else:
-                self.embed = Tensor(rng.normal(scale=0.5, size=(dims.vocab_size, dims.embed_dim)),
-                                    requires_grad=True)
-            self.sem_enc = Mlp([dims.embed_dim, dims.hidden_dim, dims.pos_semantic_dim],
-                               activation, rng, init)
-            self.sem_dec = Mlp([dims.pos_semantic_dim, dims.hidden_dim, dims.vocab_size],
-                               activation, rng, init)
+            self.params["embed"] = Tensor(rng.normal(scale=0.5, size=(d.vocab_size, d.embed_dim)),
+                                          requires_grad=True)
+            source, code, output = d.embed_dim, d.pos_semantic_dim, d.vocab_size
         else:
-            self.embed = None
-            self.sem_enc = Mlp([dims.input_dim, dims.hidden_dim, dims.semantic_dim],
-                               activation, rng, init)
-            self.sem_dec = Mlp([dims.semantic_dim, dims.hidden_dim, dims.input_dim],
-                               activation, rng, init)
-        self.chan_enc = Mlp([dims.semantic_dim, dims.hidden_dim, dims.signal_dim],
-                            activation, rng, init)
-        self.chan_dec = Mlp([dims.signal_dim, dims.hidden_dim, dims.semantic_dim],
-                            activation, rng, init)
+            source, code, output = d.input_dim, d.semantic_dim, d.input_dim
+        for net, fan_in, fan_out in (("sem_enc", source, code), ("sem_dec", code, output),
+                                     ("chan_enc", d.semantic_dim, d.signal_dim),
+                                     ("chan_dec", d.signal_dim, d.semantic_dim)):
+            self.params[f"{net}.w0"] = _xavier(rng, fan_in, d.hidden_dim)
+            self.params[f"{net}.b0"] = Tensor(np.zeros(d.hidden_dim), requires_grad=True)
+            self.params[f"{net}.w1"] = _xavier(rng, d.hidden_dim, fan_out)
+            self.params[f"{net}.b1"] = Tensor(np.zeros(fan_out), requires_grad=True)
 
     # ------------------------------------------------------------ parameters
     def named_params(self):
-        out = []
-        if self.embed is not None:
-            out.append(("embed", self.embed))
-        for group, mlp in (("sem_enc", self.sem_enc), ("sem_dec", self.sem_dec),
-                           ("chan_enc", self.chan_enc), ("chan_dec", self.chan_dec)):
-            out.extend((f"{group}.{n}", p) for n, p in mlp.params())
-        return out
+        return list(self.params.items())
 
     def semantic_params(self):
         """Inner-phase group: semantic encoder (with embedding) + semantic decoder."""
-        out = [] if self.embed is None else [self.embed]
-        out += [p for _, p in self.sem_enc.params()] + [p for _, p in self.sem_dec.params()]
-        return out
+        return [p for name, p in self.params.items() if not name.startswith("chan_")]
 
     def channel_params(self):
         """Outer-phase group: channel encoder + channel decoder."""
-        return [p for _, p in self.chan_enc.params()] + [p for _, p in self.chan_dec.params()]
+        return [p for name, p in self.params.items() if name.startswith("chan_")]
 
     def param_bytes(self) -> bytes:
         return b"".join(p.data.tobytes() for _, p in self.named_params())
@@ -168,11 +127,7 @@ class ModelBundle:
         """
         clone = object.__new__(ModelBundle)
         clone.task, clone.dims = self.task, self.dims
-        clone.activation, clone.normalize_signal = self.activation, self.normalize_signal
-        clone.embed = None if self.embed is None else Tensor(self.embed.data)
-        for name in ("sem_enc", "sem_dec", "chan_enc", "chan_dec"):
-            mlp = getattr(self, name)
-            setattr(clone, name, mlp._view_with([Tensor(p.data) for _, p in mlp.params()]))
+        clone.params = {name: Tensor(p.data) for name, p in self.params.items()}
         return clone
 
 
@@ -181,14 +136,21 @@ def embed_tokens(bundle: ModelBundle, ids: np.ndarray) -> Tensor:
     """Token ids (B, T) -> flattened embeddings (B, T*E); the attackable input."""
     ids = np.asarray(ids)
     b, t = ids.shape
-    e = T.gather_rows(bundle.embed, ids.reshape(-1))
+    e = T.gather_rows(bundle.params["embed"], ids.reshape(-1))
     return e.reshape(b, t * bundle.dims.embed_dim)
+
+
+def _network(bundle: ModelBundle, net: str, x: Tensor) -> Tensor:
+    """One of the four networks: a tanh hidden layer, then a linear one."""
+    p = bundle.params
+    h = T.dense(x, p[f"{net}.w0"], p[f"{net}.b0"], "tanh")
+    return T.dense(h, p[f"{net}.w1"], p[f"{net}.b1"])
 
 
 def semantic_encode_from_embeddings(bundle: ModelBundle, emb_flat: Tensor) -> Tensor:
     b = emb_flat.data.shape[0]
     d = bundle.dims
-    per_pos = bundle.sem_enc(emb_flat.reshape(b * d.seq_len, d.embed_dim))
+    per_pos = _network(bundle, "sem_enc", emb_flat.reshape(b * d.seq_len, d.embed_dim))
     return per_pos.reshape(b, d.semantic_dim)
 
 
@@ -196,18 +158,15 @@ def semantic_encode(bundle: ModelBundle, x) -> Tensor:
     if bundle.task is TaskKind.TEXT:
         return semantic_encode_from_embeddings(bundle, embed_tokens(bundle, x))
     x = x if isinstance(x, Tensor) else Tensor(x)
-    return bundle.sem_enc(x)
+    return _network(bundle, "sem_enc", x)
 
 
 def channel_encode(bundle: ModelBundle, s: Tensor) -> Tensor:
-    u = bundle.chan_enc(s)
-    if bundle.normalize_signal:
-        u = T.rms_normalize(u, _POWER_EPS)
-    return u
+    return T.rms_normalize(_network(bundle, "chan_enc", s), _POWER_EPS)
 
 
 def channel_decode(bundle: ModelBundle, z: Tensor) -> Tensor:
-    return bundle.chan_dec(z)
+    return _network(bundle, "chan_dec", z)
 
 
 def semantic_decode(bundle: ModelBundle, s_hat: Tensor) -> Tensor:
@@ -215,8 +174,8 @@ def semantic_decode(bundle: ModelBundle, s_hat: Tensor) -> Tensor:
     if bundle.task is TaskKind.TEXT:
         b = s_hat.data.shape[0]
         d = bundle.dims
-        return bundle.sem_dec(s_hat.reshape(b * d.seq_len, d.pos_semantic_dim))
-    return bundle.sem_dec(s_hat)
+        return _network(bundle, "sem_dec", s_hat.reshape(b * d.seq_len, d.pos_semantic_dim))
+    return _network(bundle, "sem_dec", s_hat)
 
 
 def encode_signal(bundle: ModelBundle, inputs: Tensor) -> Tensor:
@@ -264,13 +223,13 @@ def per_sample_channel_loss(s_ref: Tensor, s_hat: Tensor) -> Tensor:
 
 # --------------------------------------------------------------- checkpoint
 _TASK_CODE = {TaskKind.IMAGE: 0, TaskKind.TEXT: 1}
-_ACT_CODE = {"tanh": 0, "relu": 1, "linear": 2}
+# the architecture's codes: tanh hidden layers, RMS-normalized transmit signal
+_ARCH_CODES = {"activation": 0, "normalize": 1}
 
 
 def _header_fields(bundle: ModelBundle) -> dict:
-    """The header record: three bundle codes, then every ModelDims field in order."""
-    return {"task": _TASK_CODE[bundle.task], "activation": _ACT_CODE[bundle.activation],
-            "normalize": int(bundle.normalize_signal),
+    """The header record: task and architecture codes, then every ModelDims field in order."""
+    return {"task": _TASK_CODE[bundle.task], **_ARCH_CODES,
             **{f.name: getattr(bundle.dims, f.name) for f in dataclasses.fields(ModelDims)}}
 
 
@@ -339,18 +298,20 @@ def load_checkpoint(path) -> ModelBundle:
             raise ValueError(f"checkpoint header repeats key {key!r}")
         (fields[key],) = reader.unpack("<q")
     dim_keys = [f.name for f in dataclasses.fields(ModelDims)]
-    expected = {"task", "activation", "normalize", *dim_keys}
+    expected = {"task", *_ARCH_CODES, *dim_keys}
     if fields.keys() - expected:
         raise ValueError(f"checkpoint header has unknown keys {sorted(fields.keys() - expected)}")
     if expected - fields.keys():
         raise ValueError(f"checkpoint header lacks keys {sorted(expected - fields.keys())}")
-    dims = ModelDims(**{k: fields[k] for k in dim_keys})
-    bundle = ModelBundle(_decode(_TASK_CODE, "task", fields["task"]), dims,
-                         activation=_decode(_ACT_CODE, "activation", fields["activation"]),
-                         normalize_signal=_decode({False: 0, True: 1}, "normalize",
-                                                  fields["normalize"]),
-                         init="zeros")
-    lookup = dict(bundle.named_params())
+    tasks = {code: task for task, code in _TASK_CODE.items()}
+    if fields["task"] not in tasks:
+        raise ValueError(f"checkpoint header has unknown task code {fields['task']}")
+    for key, code in _ARCH_CODES.items():
+        if fields[key] != code:
+            raise ValueError(f"checkpoint header has unknown {key} code {fields[key]} "
+                             f"(this version builds only {code})")
+    bundle = ModelBundle(tasks[fields["task"]], ModelDims(**{k: fields[k] for k in dim_keys}))
+    lookup = dict(bundle.params)
     (n_params,) = reader.unpack("<I")
     for _ in range(n_params):
         (nlen,) = reader.unpack("<I")
@@ -370,11 +331,3 @@ def load_checkpoint(path) -> ModelBundle:
     if reader.pos != len(reader.blob):
         raise ValueError(f"checkpoint has {len(reader.blob) - reader.pos} trailing bytes")
     return bundle
-
-
-def _decode(codes: dict, key: str, code: int):
-    """The value that `codes` maps to `code`, for header field `key`."""
-    for value, c in codes.items():
-        if c == code:
-            return value
-    raise ValueError(f"checkpoint header has unknown {key} code {code}")

@@ -97,13 +97,6 @@ class Tensor:
         else:
             self.grad += g
 
-    # ------------------------------------------------------------- factories
-    @classmethod
-    def uniform_init(cls, rng: np.random.Generator, fan_in: int, fan_out: int, requires_grad=True):
-        # Xavier-style uniform init for a (fan_in, fan_out) weight matrix.
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        return cls(rng.uniform(-bound, bound, size=(fan_in, fan_out)), requires_grad=requires_grad)
-
     # ------------------------------------------------------------ structural
     def backward(self):
         if self.data.size != 1:

@@ -76,6 +76,8 @@ class TrainConfig:
             raise ValueError("epochs must be nonnegative")
         if self.sub_steps < 1:
             raise ValueError("sub_steps must be at least 1")
+        if self.checkpoint_every < 0:
+            raise ValueError(f"checkpoint_every must be nonnegative, got {self.checkpoint_every}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if not np.isfinite(self.lr) or self.lr < 0:
@@ -294,8 +296,17 @@ def evaluate(bundle: ModelBundle, data, channel_cfg: ChannelConfig,
     samples = data.eval if isinstance(data, Dataset) else np.asarray(data)
     if len(samples) == 0:
         raise ValueError("empty evaluation set")
-    frozen = bundle.frozen()
     task = bundle.task
+    if isinstance(data, Dataset) and data.task is not task:
+        raise ValueError(f"dataset task {data.task.value!r} differs from the model's {task.value!r}")
+    width, dim_name = ((bundle.dims.seq_len, "seq_len") if task is TaskKind.TEXT
+                       else (bundle.dims.input_dim, "input_dim"))
+    if samples.ndim != 2 or samples.shape[1] != width:
+        raise ValueError(f"samples have shape {samples.shape}, but the model's {dim_name} is {width}")
+    if task is TaskKind.TEXT and samples.max() >= bundle.dims.vocab_size:
+        raise ValueError(f"token id {samples.max()} is outside the model's "
+                         f"vocab_size {bundle.dims.vocab_size}")
+    frozen = bundle.frozen()
     attacking = _attacking(attack)
     side = int(round(np.sqrt(bundle.dims.input_dim)))
     has_ssim = task is TaskKind.IMAGE and side * side == bundle.dims.input_dim

@@ -139,7 +139,9 @@ def test_bad_configs_exit_2(tmp_path, capsys):
                                            ("dataset", {"vocab_size": 1}),
                                            ("dataset", {"max_len": 1}),
                                            ("dataset", {"kind": "cifar10", "side": 6,
-                                                        "path": "batch.bin"})])
+                                                        "path": "batch.bin"}),
+                                           ("eval", {"attack_eps": [-0.5, 0.0, 0.5]}),
+                                           ("train", {"checkpoint_every": -1})])
 def test_bad_values_are_config_errors(tmp_path, capsys, section, value):
     assert main(["train", "--config", str(_cfg_file(tmp_path, **{section: value}))]) == 2
     assert f"config error: {section}" in capsys.readouterr().err
@@ -166,6 +168,26 @@ def test_non_finite_eval_flags_fail_before_any_work(tmp_path, capsys, argv):
     assert main(argv + ["--config", str(cfg)] + ckpt) == 2
     assert "must be finite" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--attack-eps=-0.5,0,0.5"],
+                                  ["eval", "--attack-eps", "-0.5"]])
+def test_negative_attack_radii_fail_before_any_work(tmp_path, capsys, argv):
+    # a negative radius once ran as a clean cell; the junk checkpoint is never read
+    junk = tmp_path / "junk.ckpt"
+    junk.write_bytes(b"not a checkpoint at all")
+    assert main(argv + ["--config", str(_cfg_file(tmp_path)), "--ckpt", str(junk)]) == 2
+    assert "must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_on_a_checkpoint_of_another_size_names_both(tmp_path, capsys):
+    cfg = _cfg_file(tmp_path)  # side 6: 36 pixels
+    assert main(["train", "--config", str(cfg)]) == 0
+    small = _cfg_file(tmp_path, name="small.json", dataset={**TINY["dataset"], "side": 4})
+    ckpt = tmp_path / "out" / "model.ckpt"
+    assert main(["eval", "--config", str(small), "--ckpt", str(ckpt)]) == 1
+    assert "samples have shape (4, 16), but the model's input_dim is 36" in capsys.readouterr().err
 
 
 def test_sweep_rejects_a_bad_eval_plan_before_training(tmp_path, capsys):

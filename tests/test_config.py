@@ -245,6 +245,8 @@ def test_invalid_values_become_config_errors():
                                 ("eval", "attack_fraction", float("nan")),
                                 ("eval", "snr_db", [0.0, float("inf")]),
                                 ("eval", "attack_eps", [float("nan")]),
+                                ("eval", "attack_eps", [0.0, -0.5]),
+                                ("train", "checkpoint_every", -1),
                                 ("dataset", "n", 0), ("dataset", "side", 1),
                                 ("dataset", "vocab_size", 100), ("dataset", "vocab_size", 65),
                                 ("dataset", "vocab_size", 1), ("dataset", "max_len", 20),

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from wasecom import models as M
+from wasecom.channel import ChannelConfig, ChannelKind, realization_for
 from wasecom.optim import Sgd
 from wasecom.tensor import Tensor
 
 
-def image_bundle(seed=0, **kw):
+def image_bundle(seed=0):
     dims = M.ModelDims(input_dim=64, semantic_dim=16, signal_dim=16, hidden_dim=32)
-    return M.ModelBundle(M.TaskKind.IMAGE, dims, seed=seed, **kw)
+    return M.ModelBundle(M.TaskKind.IMAGE, dims, seed=seed)
 
 
 def text_bundle(seed=0):
@@ -41,12 +42,6 @@ def test_text_pipeline_shapes_and_decode():
     assert decoded.shape == (4, 12) and decoded.dtype.kind == "i"
 
 
-def test_zero_initialized_encoder_maps_to_zero():
-    b = image_bundle(init="zeros")
-    s = M.semantic_encode(b, Tensor(np.ones((3, 64))))
-    assert np.array_equal(s.data, np.zeros((3, 16)))
-
-
 def test_power_normalization_unit_power_per_sample():
     b = image_bundle(seed=3)
     x = Tensor(np.random.default_rng(2).uniform(size=(50, 64)))
@@ -55,29 +50,35 @@ def test_power_normalization_unit_power_per_sample():
     assert np.all(np.abs(per_sample - 1.0) <= 1e-9)
 
 
-def test_normalization_can_be_disabled():
-    b = image_bundle(seed=3, normalize_signal=False)
-    x = Tensor(np.random.default_rng(2).uniform(size=(10, 64)))
-    u = M.channel_encode(b, M.semantic_encode(b, x))
-    assert np.abs(np.mean(u.data**2, axis=1) - 1.0).max() > 1e-6
+def reference_pipeline(bundle: M.ModelBundle, inputs: np.ndarray, realization) -> np.ndarray:
+    """The architecture in plain numpy: each network tanh(x @ W0 + b0) @ W1 + b1,
+    the per-row RMS power normalization, then z = h * u + w."""
+    p = {name: t.data for name, t in bundle.params.items()}
+
+    def net(name, x):
+        return np.tanh(x @ p[f"{name}.w0"] + p[f"{name}.b0"]) @ p[f"{name}.w1"] + p[f"{name}.b1"]
+
+    d, rows = bundle.dims, len(inputs)
+    text = bundle.task is M.TaskKind.TEXT
+    s = net("sem_enc", inputs.reshape(rows * d.seq_len, d.embed_dim) if text else inputs)
+    u = net("chan_enc", s.reshape(rows, d.semantic_dim))
+    u = u * (np.mean(u**2, axis=1, keepdims=True) + 1e-12) ** -0.5
+    s_hat = net("chan_dec", realization.h * u + realization.w)
+    return net("sem_dec", s_hat.reshape(rows * d.seq_len, d.pos_semantic_dim) if text else s_hat)
 
 
-def make_identity_bundle(dim: int) -> M.ModelBundle:
-    """Square single-layer linear stack with identity weights."""
-    dims = M.ModelDims(input_dim=dim, semantic_dim=dim, signal_dim=dim, hidden_dim=dim)
-    bundle = M.ModelBundle(M.TaskKind.IMAGE, dims, activation="linear",
-                           normalize_signal=False, init="zeros")
-    for name in ("sem_enc", "sem_dec", "chan_enc", "chan_dec"):
-        setattr(bundle, name, M.Mlp([dim, dim], activation="linear", init="zeros"))
-        getattr(bundle, name).weights[0].data[...] = np.eye(dim)
-    return bundle
-
-
-def test_identity_bundle_reconstructs_exactly():
-    b = make_identity_bundle(6)
-    x = np.random.default_rng(3).normal(size=(4, 6))
-    out = M.semantic_decode(b, M.channel_decode(b, M.channel_encode(b, M.semantic_encode(b, Tensor(x)))))
-    assert np.array_equal(out.data, x)
+@pytest.mark.parametrize("make", [image_bundle, text_bundle], ids=["image", "text"])
+def test_pipeline_equals_the_numpy_reference(make):
+    b = make(seed=21)
+    rng = np.random.default_rng(22)
+    if b.task is M.TaskKind.IMAGE:
+        inputs = rng.uniform(size=(6, 64))
+    else:
+        inputs = M.embed_tokens(b, rng.integers(0, 32, size=(6, 12))).data
+    u = M.encode_signal(b, Tensor(inputs))
+    realization = realization_for(ChannelConfig(ChannelKind.RAYLEIGH, 5.0), u.data, rng)
+    out = M.pipeline(b, Tensor(inputs), realization)
+    assert np.array_equal(out.data, reference_pipeline(b, inputs, realization))
 
 
 def test_cross_entropy_uniform_logits_is_log_vocab():
@@ -125,8 +126,8 @@ def test_frozen_view_shares_values_but_takes_no_grads():
     for _, p in b.named_params():
         assert np.array_equal(p.grad, np.zeros_like(p.data))
     # shared storage: mutating the original is visible through the view
-    b.sem_enc.weights[0].data[0, 0] += 1.0
-    assert fz.sem_enc.weights[0].data[0, 0] == b.sem_enc.weights[0].data[0, 0]
+    b.params["sem_enc.w0"].data[0, 0] += 1.0
+    assert fz.params["sem_enc.w0"].data[0, 0] == b.params["sem_enc.w0"].data[0, 0]
 
 
 def estimate_lipschitz(fn, samples: np.ndarray, n_pairs=200, rng=None) -> float:
@@ -261,7 +262,11 @@ def _drop(key):
     (lambda fields: {**fields, "task": 2}, "unknown task code 2"),
     (lambda fields: {**fields, "activation": 7}, "unknown activation code 7"),
     (lambda fields: {**fields, "normalize": 2}, "unknown normalize code 2"),
-], ids=["missing-dims-key", "unknown-key", "task-code", "activation-code", "normalize-code"])
+    # relu and unnormalized bundles: codes that older versions wrote
+    (lambda fields: {**fields, "activation": 1}, "unknown activation code 1"),
+    (lambda fields: {**fields, "normalize": 0}, "unknown normalize code 0"),
+], ids=["missing-dims-key", "unknown-key", "task-code", "activation-code", "normalize-code",
+        "relu-activation", "unnormalized"])
 def test_checkpoint_rejects_bad_header(tmp_path, monkeypatch, edit, message):
     header_fields = M._header_fields
     monkeypatch.setattr(M, "_header_fields", lambda bundle: edit(header_fields(bundle)))

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from wasecom import gradcheck, tensor as T
-from wasecom.models import Mlp
 from wasecom.tensor import Tensor
 from wasecom.optim import Adam, Sgd
 from wasecom.gradcheck import check_case, numeric_gradients, random_graph_suite
@@ -161,13 +160,18 @@ def test_dense_writes_neither_its_inputs_nor_the_incoming_gradient(activation):
 
 def test_mlp_forward_keeps_one_array_per_hidden_layer():
     rows, width = 256, 64
-    mlp = Mlp([8, width, width, 8], "tanh", rng=np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    layers = [(Tensor(rng.uniform(-0.3, 0.3, size=(m, n)), requires_grad=True),
+               Tensor(np.zeros(n), requires_grad=True))
+              for m, n in ((8, width), (width, width), (width, 8))]
     x = Tensor(np.random.default_rng(1).normal(size=(rows, 8)), requires_grad=True)
     gc.collect()
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        out = mlp(x)
+        out = x
+        for i, (w, b) in enumerate(layers):
+            out = T.dense(out, w, b, "tanh" if i < len(layers) - 1 else None)
         held = tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()

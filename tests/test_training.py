@@ -355,6 +355,24 @@ def test_evaluate_rejects_a_batch_size_below_one(batch_size):
         evaluate(bundle, data, ChannelConfig(ChannelKind.AWGN, 10.0), batch_size=batch_size)
 
 
+def test_evaluate_rejects_data_the_model_cannot_take():
+    # each used to fail deep in the forward pass, with a bare matmul or index error
+    data = _image_data(n=12)
+    bundle = ModelBundle(data.task, _dims_for(data), seed=4)
+    channel = ChannelConfig(ChannelKind.AWGN, 10.0)
+    text = generate_synthetic_text(12, vocab_size=16, max_len=6, seed=0)
+    with pytest.raises(ValueError, match="dataset task 'text' differs from the model's 'image'"):
+        evaluate(bundle, text, channel)
+    with pytest.raises(ValueError, match=r"shape \(3, 16\), but the model's input_dim is 36"):
+        evaluate(bundle, _image_data(n=12, side=4), channel)
+    text_bundle = ModelBundle(text.task, _dims_for(text), seed=5)
+    with pytest.raises(ValueError, match=r"shape \(3, 5\), but the model's seq_len is 6"):
+        evaluate(text_bundle, text.eval[:, :5], channel)
+    wide = generate_synthetic_text(40, vocab_size=32, max_len=6, seed=0)
+    with pytest.raises(ValueError, match=r"token id \d+ is outside the model's vocab_size 16"):
+        evaluate(text_bundle, wide, channel)
+
+
 @pytest.mark.parametrize("attack", [
     PerturbSpec(PerturbMethod.GAUSSIAN, radius=0.1),
     PerturbSpec(PerturbMethod.FGSM, radius=0.1, sample_fraction=0.0),
@@ -458,6 +476,8 @@ def test_config_validation():
         TrainConfig(optimizer="lbfgs")
     with pytest.raises(ValueError, match="sub_steps"):
         TrainConfig(sub_steps=0)
+    with pytest.raises(ValueError, match="checkpoint_every"):
+        TrainConfig(checkpoint_every=-1)
     for dual_lr in (np.nan, np.inf, -0.01):
         with pytest.raises(ValueError, match="dual_lr"):
             TrainConfig(dual_lr=dual_lr)
