@@ -467,6 +467,30 @@ def test_batched_evaluate_matches_per_item_reference(task, kind, attack):
         assert abs(rec.bleu - ref["bleu"]) <= 1e-15
 
 
+# sha256 of the csv rows of an evaluate grid: image and text × AWGN and Rayleigh
+# × 0 and 20 dB × clean and FGSM × seeds 1 and 7, at batch size 12 on 30 eval
+# rows (12, 12, then a ragged 6).  PGD stays out: its normalized step divides by
+# the gradient's norm, and BLAS may round a transposed-operand matmul's row in
+# its last bit differently with the number of rows in the call.
+EVALUATE_GRID_SHA = "b1aa49f6d7dc8d2f9bf3e68bb0925b7607151535f3e3aaebc7d2521974fce416"
+
+
+def test_evaluate_grid_is_pinned():
+    attack = PerturbSpec(PerturbMethod.FGSM, radius=0.3, epsilon_inf=0.1, sample_fraction=0.5)
+    h = hashlib.sha256()
+    for data in (_image_data(n=120, side=8, seed=2),
+                 generate_synthetic_text(120, vocab_size=8, max_len=6, seed=2)):
+        bundle, _ = TR.train_erm(_cfg(epochs=4, lr=1e-2, mode=Mode.ERM), data)
+        for kind in (ChannelKind.AWGN, ChannelKind.RAYLEIGH):
+            for snr in (0.0, 20.0):
+                for atk in (None, attack):
+                    for seed in (1, 7):
+                        rec = evaluate(bundle, data, ChannelConfig(kind, snr), atk, seed=seed,
+                                       batch_size=12)
+                        h.update(rec.csv_row().encode() + b"\n")
+    assert h.hexdigest() == EVALUATE_GRID_SHA
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="batch_size"):
         TrainConfig(batch_size=0)
