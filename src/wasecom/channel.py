@@ -42,7 +42,6 @@ class ChannelRealization:
 
     h: np.ndarray       # (batch, dim) fade, constant per sample
     w: np.ndarray       # (batch, dim) additive noise
-    sigma2: float       # noise variance used for w
 
 
 def noise_variance(cfg: ChannelConfig, signal_power: float) -> float:
@@ -62,7 +61,7 @@ def draw_realization(cfg: ChannelConfig, batch: int, dim: int, signal_power: flo
         h = np.ones((batch, dim))
     sigma2 = noise_variance(cfg, signal_power)
     w = rng.normal(loc=0.0, scale=np.sqrt(sigma2), size=(batch, dim))
-    return ChannelRealization(h=h, w=w, sigma2=sigma2)
+    return ChannelRealization(h=h, w=w)
 
 
 def apply_realization(u: Tensor, realization: ChannelRealization) -> Tensor:

@@ -90,8 +90,7 @@ def penalized_sup_hard(per_sample_loss_fn, x: np.ndarray, dual_var: float,
 # ----------------------------------------------------------------- pipelines
 def _tile(realization: ChannelRealization, k: int) -> ChannelRealization:
     """The same per-row channel draw for k stacked copies of the batch."""
-    return ChannelRealization(h=np.tile(realization.h, (k, 1)),
-                              w=np.tile(realization.w, (k, 1)), sigma2=realization.sigma2)
+    return ChannelRealization(h=np.tile(realization.h, (k, 1)), w=np.tile(realization.w, (k, 1)))
 
 
 def clean_inner_loss(bundle, x, channel_cfg: ChannelConfig, rng) -> Tensor:

@@ -261,22 +261,19 @@ def _attack_label(attack: PerturbSpec | None) -> str:
     return f"{attack.method.value}(eps={attack.radius:g},frac={attack.sample_fraction:g})"
 
 
-def _attack_rows(frozen: ModelBundle, batch, centers: np.ndarray,
+def _attack_rows(frozen: ModelBundle, samples, centers: np.ndarray,
                  realization: ChannelRealization, attack: PerturbSpec, rows: np.ndarray):
-    """The batch's inputs with only `rows` attacked, each against its own channel draw.
+    """The attacked inputs of `rows`, each row against its own channel draw.
 
     Every per-sample loss depends on its own row alone, so the attack runs on
     those rows' slice of the inputs, references and realization.
     """
-    sub = ChannelRealization(h=realization.h[rows], w=realization.w[rows],
-                             sigma2=realization.sigma2)
-    ref = batch[rows]
+    sub = ChannelRealization(h=realization.h[rows], w=realization.w[rows])
+    ref = samples[rows]
     loss_fn = lambda leaf: M.per_sample_reconstruction_loss(
         frozen, ref, M.pipeline(frozen, leaf, sub))
     runner = pgd if attack.method is PerturbMethod.PGD else fgsm
-    inputs = centers.copy()
-    inputs[rows] = runner(loss_fn, centers[rows], attack)
-    return inputs
+    return runner(loss_fn, centers[rows], attack)
 
 
 def evaluate(bundle: ModelBundle, data, channel_cfg: ChannelConfig,
@@ -284,12 +281,16 @@ def evaluate(bundle: ModelBundle, data, channel_cfg: ChannelConfig,
              batch_size: int = 64) -> MetricsRecord:
     """Run the frozen pipeline over an evaluation set and aggregate metrics.
 
-    Accepts a Dataset (its eval split is used) or a plain sample array.  One
-    channel realization is drawn per batch from the clean signal power and
-    shared between the clean and attacked passes, so the attack measures input
-    sensitivity rather than noise luck.  For text the `mse` column carries the
-    mean token NLL.  The bundle is never mutated: all passes run on a frozen
-    view and attack gradients stop at the perturbation leaf.
+    Accepts a Dataset (its eval split is used) or a plain sample array.  The
+    whole split is encoded once, attacked once and decoded once, so memory
+    grows with the split.  `batch_size` sets the granularity of everything
+    drawn or summed: each batch of rows gets its own channel realization, from
+    its own clean signal power, and its own seeded choice of attacked rows,
+    and the metric sums run batch by batch.  The clean and attacked passes
+    share the realization, so the attack measures input sensitivity rather
+    than noise luck.  For text the `mse` column carries the mean token NLL.
+    The bundle is never mutated: all passes run on a frozen view and attack
+    gradients stop at the perturbation leaf.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
@@ -303,54 +304,63 @@ def evaluate(bundle: ModelBundle, data, channel_cfg: ChannelConfig,
                        else (bundle.dims.input_dim, "input_dim"))
     if samples.ndim != 2 or samples.shape[1] != width:
         raise ValueError(f"samples have shape {samples.shape}, but the model's {dim_name} is {width}")
-    if task is TaskKind.TEXT and samples.max() >= bundle.dims.vocab_size:
-        raise ValueError(f"token id {samples.max()} is outside the model's "
-                         f"vocab_size {bundle.dims.vocab_size}")
+    if task is TaskKind.TEXT:
+        if not np.issubdtype(samples.dtype, np.integer):
+            raise ValueError(f"token ids must be integers, got dtype {samples.dtype}")
+        low, high = samples.min(), samples.max()
+        if low < 0 or high >= bundle.dims.vocab_size:
+            raise ValueError(f"token id {low if low < 0 else high} is outside the model's "
+                             f"vocab_size {bundle.dims.vocab_size}")
     frozen = bundle.frozen()
-    attacking = _attacking(attack)
+    n = len(samples)
+    starts = range(0, n, batch_size)
     side = int(round(np.sqrt(bundle.dims.input_dim)))
     has_ssim = task is TaskKind.IMAGE and side * side == bundle.dims.input_dim
 
-    se_sum = ssim_sum = nll_sum = bleu_sum = 0.0
-    for bi, start in enumerate(range(0, len(samples), batch_size)):
-        batch = samples[start:start + batch_size]
-        rng = _stream(seed, TAG_EVAL_CHANNEL, bi)
-        if task is TaskKind.IMAGE:
-            centers = np.asarray(batch, dtype=float)
-        else:
-            centers = M.embed_tokens(frozen, batch).data
-        u0 = M.encode_signal(frozen, Tensor(centers))
-        realization = realization_for(channel_cfg, u0.data, rng)
-        rows = ()
-        if attacking:
-            rows = np.flatnonzero(attacked_row_mask(len(batch), attack.sample_fraction,
-                                                    _stream(seed, TAG_EVAL_ATTACK, bi)))
-        if len(rows):
-            inputs = _attack_rows(frozen, batch, centers, realization, attack, rows)
-            out = M.pipeline(frozen, Tensor(inputs), realization)
-        else:  # nothing attacked: the clean pass
-            out = M.decode_signal(frozen, u0, realization)
+    if task is TaskKind.IMAGE:
+        centers = np.asarray(samples, dtype=float)
+    else:
+        centers = M.embed_tokens(frozen, samples).data
+    u0 = M.encode_signal(frozen, Tensor(centers))
+    draws = [realization_for(channel_cfg, u0.data[start:start + batch_size],
+                             _stream(seed, TAG_EVAL_CHANNEL, bi))
+             for bi, start in enumerate(starts)]
+    realization = ChannelRealization(h=np.concatenate([r.h for r in draws]),
+                                     w=np.concatenate([r.w for r in draws]))
+    u = u0
+    if _attacking(attack):
+        rows = np.concatenate([
+            start + np.flatnonzero(attacked_row_mask(min(batch_size, n - start),
+                                                     attack.sample_fraction,
+                                                     _stream(seed, TAG_EVAL_ATTACK, bi)))
+            for bi, start in enumerate(starts)])
+        if len(rows):  # re-encode the attacked rows only, into a copy of the clean signal
+            attacked = _attack_rows(frozen, samples, centers, realization, attack, rows)
+            u = Tensor(u0.data.copy())
+            u.data[rows] = M.encode_signal(frozen, Tensor(attacked)).data
+    out = M.decode_signal(frozen, u, realization)
 
-        if task is TaskKind.IMAGE:
-            per_sample = np.mean((out.data - np.asarray(batch)) ** 2, axis=1)
-            se_sum += float(per_sample.sum())
-            if has_ssim:
-                imgs = out.data.reshape(-1, side, side)
-                refs = np.asarray(batch).reshape(-1, side, side)
-                window = min(8, side)
-                ssim_sum += ssim(refs, imgs, window=window) * len(refs)
-        else:
-            nll = M.per_sample_reconstruction_loss(frozen, batch, out)
-            nll_sum += float(nll.data.sum())
-            decoded = M.greedy_decode(out.data, len(batch), bundle.dims.seq_len)
-            bleu_sum += bleu(decoded, batch) * len(batch)
+    # pixel MSE for images, mean token NLL for text
+    per_sample = (np.mean((out.data - samples) ** 2, axis=1) if task is TaskKind.IMAGE
+                  else M.per_sample_reconstruction_loss(frozen, samples, out).data)
+    if task is TaskKind.TEXT:
+        decoded = M.greedy_decode(out.data, n, bundle.dims.seq_len)
+    loss_sum = ssim_sum = bleu_sum = 0.0
+    for start in starts:
+        batch = slice(start, start + batch_size)
+        refs = samples[batch]
+        loss_sum += float(per_sample[batch].sum())
+        if has_ssim:
+            imgs = out.data[batch].reshape(-1, side, side)
+            ssim_sum += ssim(refs.reshape(-1, side, side), imgs, window=min(8, side)) * len(refs)
+        elif task is TaskKind.TEXT:
+            bleu_sum += bleu(decoded[batch], refs) * len(refs)
 
-    n = len(samples)
     label = _attack_label(attack)
     if task is TaskKind.IMAGE:
-        mean_mse = se_sum / n
+        mean_mse = loss_sum / n
         return MetricsRecord(task=task.value, snr_db=channel_cfg.snr_db, attack=label,
                              mse=mean_mse, psnr_db=psnr_from_mse(mean_mse),
                              ssim=ssim_sum / n if has_ssim else None, n=n)
     return MetricsRecord(task=task.value, snr_db=channel_cfg.snr_db, attack=label,
-                         mse=nll_sum / n, bleu=bleu_sum / n, n=n)
+                         mse=loss_sum / n, bleu=bleu_sum / n, n=n)

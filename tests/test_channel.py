@@ -60,7 +60,12 @@ def test_realization_for_is_the_draw_transmit_applies(kind):
     z, r = transmit(cfg, Tensor(u), rng_a)
     drawn = realization_for(cfg, u, rng_b)
     assert np.array_equal(drawn.h, r.h) and np.array_equal(drawn.w, r.w)
-    assert drawn.sigma2 == r.sigma2 == noise_variance(cfg, float(np.mean(u**2)))
+    # the same stream, drawn by hand: the fade first, then noise at the measured power's scale
+    replay = np.random.default_rng(11)
+    if cfg.kind is ChannelKind.RAYLEIGH:
+        replay.rayleigh(scale=RAYLEIGH_SCALE, size=(6, 1))
+    scale = np.sqrt(noise_variance(cfg, float(np.mean(u**2))))
+    assert np.array_equal(drawn.w, replay.normal(loc=0.0, scale=scale, size=(6, 5)))
     assert np.array_equal(z.data, apply_realization(Tensor(u), drawn).data)
     assert rng_a.random() == rng_b.random()
 

@@ -371,6 +371,13 @@ def test_evaluate_rejects_data_the_model_cannot_take():
     wide = generate_synthetic_text(40, vocab_size=32, max_len=6, seed=0)
     with pytest.raises(ValueError, match=r"token id \d+ is outside the model's vocab_size 16"):
         evaluate(text_bundle, wide, channel)
+    # -1 used to read the last vocabulary token, through numpy's negative indexing
+    negative = text.eval.copy()
+    negative[0, 3] = -1
+    with pytest.raises(ValueError, match=r"token id -1 is outside the model's vocab_size 16"):
+        evaluate(text_bundle, negative, channel)
+    with pytest.raises(ValueError, match="token ids must be integers, got dtype float64"):
+        evaluate(text_bundle, text.eval.astype(float), channel)
 
 
 @pytest.mark.parametrize("attack", [
