@@ -336,8 +336,9 @@ def evaluate(bundle: ModelBundle, data, channel_cfg: ChannelConfig,
             for bi, start in enumerate(starts)])
         if len(rows):  # re-encode the attacked rows only, into a copy of the clean signal
             attacked = _attack_rows(frozen, samples, centers, realization, attack, rows)
-            u = Tensor(u0.data.copy())
-            u.data[rows] = M.encode_signal(frozen, Tensor(attacked)).data
+            signal = u0.data.copy()
+            signal[rows] = M.encode_signal(frozen, Tensor(attacked)).data
+            u = Tensor(signal)
     out = M.decode_signal(frozen, u, realization)
 
     # pixel MSE for images, mean token NLL for text
