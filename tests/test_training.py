@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import platform
@@ -156,6 +157,35 @@ def test_degenerate_radii_match_erm_bitwise(sub_steps):
     assert len(traj_w) == 6  # 24 train samples, batch 8, 2 epochs
     assert traj_w == traj_e
     assert [r.total for r in log_w.records] == [r.total for r in log_e.records]
+
+
+# sha256 of four short runs (Rayleigh 10 dB, 2 epochs, batch 8, seed 7): ERM
+# image, robust image (PGD-3 inner, FGSM outer), LSE image (K=8) and robust text.
+# Each run adds its final parameter bytes and every logged record but its wall time.
+TRAJECTORY_SHA = "89a66734614a73ef6a1df0dd92f3f3d259d7aebb14ec69e772d99629f2e2a0bb"
+
+
+def test_training_trajectories_are_pinned():
+    image = _image_data(n=32)
+    text = generate_synthetic_text(32, vocab_size=8, max_len=6, seed=0)
+    hard = dict(perturb_inner=PerturbSpec(PerturbMethod.PGD, radius=0.5, epsilon_inf=1.0, steps=3),
+                perturb_outer=PerturbSpec(PerturbMethod.FGSM, radius=0.1, epsilon_inf=1.0))
+    lse = dict(perturb_inner=PerturbSpec(PerturbMethod.GAUSSIAN, radius=0.5, sample_count=8),
+               perturb_outer=PerturbSpec(PerturbMethod.GAUSSIAN, radius=0.1, sample_count=8))
+    arms = [(image, dict(mode=Mode.ERM)),
+            (image, dict(robustness=RobustnessConfig(rho=0.5, mu=0.1), **hard)),
+            (image, dict(robustness=RobustnessConfig(rho=0.5, mu=0.1, use_lse=True), **lse)),
+            (text, dict(robustness=RobustnessConfig(rho=0.05, mu=0.3), **hard))]
+    h = hashlib.sha256()
+    for data, kw in arms:
+        cfg = TrainConfig(epochs=2, batch_size=8, lr=1e-3, seed=7,
+                          channel=ChannelConfig(ChannelKind.RAYLEIGH, 10.0), **kw)
+        bundle, log = train(cfg, data)
+        h.update(bundle.param_bytes())
+        for rec in log.records:
+            h.update(repr([getattr(rec, f.name) for f in dataclasses.fields(rec)
+                           if f.name != "wall_ms"]).encode())
+    assert h.hexdigest() == TRAJECTORY_SHA
 
 
 def test_erm_loss_decreases_on_held_out_batch():
