@@ -183,9 +183,11 @@ def _write_metrics(path: Path, records: list[MetricsRecord]):
 
 
 def _attack_for(eps: float, fraction: float) -> PerturbSpec | None:
+    """FGSM at radius eps: its signed step of eps per coordinate is at least eps
+    in L2, so the projection puts every row with a nonzero gradient on the sphere."""
     if not eps:  # None or 0: the clean cell
         return None
-    return PerturbSpec(PerturbMethod.FGSM, radius=eps, sample_fraction=fraction)
+    return PerturbSpec(PerturbMethod.FGSM, radius=eps, epsilon_inf=eps, sample_fraction=fraction)
 
 
 # -------------------------------------------------------------- subcommands

@@ -353,32 +353,20 @@ class TheoryCheckReport:
                 f"{self.rel_gap:.2e},{flags}")
 
 
-def estimate_grid_lipschitz(loss_fn, grid: np.ndarray, rng=None, n_pairs=20000) -> float:
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    vals = _loss_on_grid(loss_fn, grid)
-    n = len(grid)
-    rng = rng or np.random.default_rng(0)
-    ii = rng.integers(0, n, size=n_pairs)
-    jj = rng.integers(0, n, size=n_pairs)
-    keep = ii != jj
-    dist = np.linalg.norm(grid[ii[keep]] - grid[jj[keep]], axis=1)
-    good = dist > 1e-12
-    return float(np.max(np.abs(vals[ii[keep]][good] - vals[jj[keep]][good]) / dist[good]))
-
-
 def check_lemma1(P: DiscreteDistribution, family, member: int, rho: float, lam: float,
-                 grid: np.ndarray, lipschitz: float | None = None, n_plans: int = 25,
+                 grid: np.ndarray, lipschitz: float, n_plans: int = 25,
                  rng: np.random.Generator | None = None) -> TheoryCheckReport:
     """Excess-risk sandwich: surrogate and true excess risks differ by at most
     2 L rho + |lam - lam*| rho^2 for every distribution inside the ball.
 
-    `family` is a list of loss callables; `member` indexes the one under test.
+    `family` is a list of loss callables; `member` indexes the one under test,
+    and `lipschitz` is L, a Lipschitz constant of its loss.
     Requires lam >= L / rho (the regime where the surrogate tracks the truth).
     """
     rng = rng or np.random.default_rng(0)
     C = _grid_costs(P, grid)
     V = np.stack([_loss_on_grid(fn, grid) for fn in family])
-    L = lipschitz if lipschitz is not None else estimate_grid_lipschitz(family[member], grid, rng)
+    L = lipschitz
     if rho <= 0:
         raise ValueError("rho must be positive for the sandwich check")
     if lam < L / rho - 1e-12:

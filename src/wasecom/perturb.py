@@ -28,7 +28,6 @@ class PerturbSpec:
     method: PerturbMethod = PerturbMethod.NONE
     radius: float = 0.0          # L2 budget per sample; inf = unconstrained
     epsilon_inf: float = 0.01    # FGSM step in the max norm
-    step_size: float = 0.0       # PGD step; 0 = auto (2.5 * radius / steps)
     steps: int = 7
     sample_count: int = 8        # Gaussian smoothing draws
     sample_fraction: float = 1.0  # share of batch rows that get attacked
@@ -37,8 +36,6 @@ class PerturbSpec:
         self.method = PerturbMethod(self.method)
         if not self.radius >= 0:  # inf is legal, NaN is not
             raise ValueError(f"radius must be nonnegative, got {self.radius}")
-        if not self.step_size >= 0:
-            raise ValueError(f"step_size must be nonnegative, got {self.step_size}")
         if not 0.0 <= self.sample_fraction <= 1.0:
             raise ValueError(f"sample_fraction must be in [0, 1], got {self.sample_fraction}")
         if self.steps < 1:
@@ -47,13 +44,6 @@ class PerturbSpec:
             raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
         if not np.isfinite(self.epsilon_inf) or self.epsilon_inf < 0:
             raise ValueError(f"epsilon_inf must be finite and nonnegative, got {self.epsilon_inf}")
-
-    def pgd_step_size(self) -> float:
-        if self.step_size > 0:
-            return self.step_size
-        if np.isfinite(self.radius) and self.radius > 0:
-            return 2.5 * self.radius / self.steps
-        return 0.1
 
 
 def project_ball(x_tilde: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
@@ -89,7 +79,8 @@ def fgsm(loss_fn, x: np.ndarray, spec: PerturbSpec) -> np.ndarray:
 
 
 def pgd(loss_fn, x: np.ndarray, spec: PerturbSpec) -> np.ndarray:
-    """Projected gradient ascent with L2-normalized steps.
+    """Projected gradient ascent with L2-normalized steps of 2.5 * radius / steps
+    (0.1 for an infinite radius).
 
     Keeps the best iterate per sample by recorded loss (the start point
     counts), so the returned loss never falls below the clean loss.  With
@@ -97,7 +88,7 @@ def pgd(loss_fn, x: np.ndarray, spec: PerturbSpec) -> np.ndarray:
     """
     if spec.radius == 0:
         return x.copy()
-    alpha = spec.pgd_step_size()
+    alpha = 2.5 * spec.radius / spec.steps if np.isfinite(spec.radius) else 0.1
     current = x.copy()
     best = x.copy()
     best_val = None

@@ -26,7 +26,7 @@ from .metrics import MetricsRecord, bleu, psnr_from_mse, ssim
 from .models import ModelBundle, ModelDims, TaskKind, save_checkpoint
 from .objectives import (DualObjectiveValue, RobustnessConfig, clean_inner_loss,
                          clean_outer_loss, inner_dual_loss, outer_dual_loss, update_duals)
-from .optim import Adam, Sgd
+from .optim import Adam
 from .perturb import PerturbMethod, PerturbSpec, attacked_row_mask, fgsm, pgd
 from .tensor import Tensor
 
@@ -56,10 +56,8 @@ class TrainConfig:
     epochs: int = 2
     batch_size: int = 32
     lr: float = 1e-3
-    optimizer: str = "adam"
     seed: int = 0
     mode: Mode = Mode.WASECOM
-    sub_steps: int = 1
     dual_lr: float = 0.01
     checkpoint_every: int = 0
     robustness: RobustnessConfig = field(default_factory=RobustnessConfig)
@@ -74,16 +72,19 @@ class TrainConfig:
             raise ValueError("batch_size must be at least 1")
         if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")
-        if self.sub_steps < 1:
-            raise ValueError("sub_steps must be at least 1")
         if self.checkpoint_every < 0:
             raise ValueError(f"checkpoint_every must be nonnegative, got {self.checkpoint_every}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if not np.isfinite(self.lr) or self.lr < 0:
             raise ValueError("lr must be finite and nonnegative")
         if not np.isfinite(self.dual_lr) or self.dual_lr < 0:
             raise ValueError("dual_lr must be finite and nonnegative")
+        # the LSE objective reads only Gaussian draws, and only it reads them
+        gaussian = [spec.method is PerturbMethod.GAUSSIAN
+                    for spec in (self.perturb_inner, self.perturb_outer)]
+        if self.robustness.use_lse and not all(gaussian):
+            raise ValueError("use_lse requires method 'gaussian' in perturb_inner and perturb_outer")
+        if any(gaussian) and not self.robustness.use_lse:
+            raise ValueError("method 'gaussian' requires use_lse")
 
 
 TRAIN_LOG_HEADER = "step,phase,total,penalty,expectation,lambda,gamma,wall_ms"
@@ -178,11 +179,10 @@ def _train_alternating(cfg: TrainConfig, data: Dataset, dims, bundle, checkpoint
     """
     if bundle is None:
         bundle = ModelBundle(data.task, dims or default_dims(data), seed=cfg.seed)
-    kind = Adam if cfg.optimizer == "adam" else Sgd
     # the losses are read from the module per call, so a patched global takes effect
-    phases = (("outer", kind(bundle.channel_params(), cfg.lr), outer_dual_loss,
+    phases = (("outer", Adam(bundle.channel_params(), cfg.lr), outer_dual_loss,
                clean_outer_loss, cfg.perturb_outer, TAG_OUTER_CHANNEL, TAG_OUTER_ATTACK),
-              ("inner", kind(bundle.semantic_params(), cfg.lr), inner_dual_loss,
+              ("inner", Adam(bundle.semantic_params(), cfg.lr), inner_dual_loss,
                clean_inner_loss, cfg.perturb_inner, TAG_INNER_CHANNEL, TAG_INNER_ATTACK))
     rob = cfg.robustness
     log = TrainLog()
@@ -192,28 +192,28 @@ def _train_alternating(cfg: TrainConfig, data: Dataset, dims, bundle, checkpoint
             x = data.train[idx]
             mean_cost = {}
             for phase, opt, dual_loss, clean_loss, spec, channel_tag, attack_tag in phases:
-                for k in range(cfg.sub_steps):
-                    t0 = time.perf_counter()
-                    opt.zero_grad()
-                    rng = _stream(cfg.seed, channel_tag, step, k)
-                    if robust:
-                        val = dual_loss(bundle, x, cfg.channel, rob, spec, rng=rng,
-                                        attack_rng=_stream(cfg.seed, attack_tag, step, k))
-                    else:  # no penalty, and no cost for a dual step to read
-                        loss = clean_loss(bundle, x, cfg.channel, rng=rng)
-                        val = DualObjectiveValue(loss, 0.0, float(loss.data), float("nan"))
-                    rec = StepRecord(step, phase, float(val.total.data), val.penalty_term,
-                                     val.expectation_term, rob.lam, rob.gamma, 0.0)
-                    log.append(rec)
-                    if not np.isfinite(rec.total):
-                        raise TrainingDiverged(rec)
-                    val.total.backward()
-                    _check_grads(opt, bundle, rec)
-                    opt.step()
-                    rec.wall_ms = (time.perf_counter() - t0) * 1e3
-                    mean_cost[phase] = val.mean_cost
-                    # drop this phase's tape now, not when the next phase has built its own
-                    val = loss = None
+                t0 = time.perf_counter()
+                opt.zero_grad()
+                # the trailing 0 of the key keeps every draw, and so every trajectory, as pinned
+                rng = _stream(cfg.seed, channel_tag, step, 0)
+                if robust:
+                    val = dual_loss(bundle, x, cfg.channel, rob, spec, rng=rng,
+                                    attack_rng=_stream(cfg.seed, attack_tag, step, 0))
+                else:  # no penalty, and no cost for a dual step to read
+                    loss = clean_loss(bundle, x, cfg.channel, rng=rng)
+                    val = DualObjectiveValue(loss, 0.0, float(loss.data), float("nan"))
+                rec = StepRecord(step, phase, float(val.total.data), val.penalty_term,
+                                 val.expectation_term, rob.lam, rob.gamma, 0.0)
+                log.append(rec)
+                if not np.isfinite(rec.total):
+                    raise TrainingDiverged(rec)
+                val.total.backward()
+                _check_grads(opt, bundle, rec)
+                opt.step()
+                rec.wall_ms = (time.perf_counter() - t0) * 1e3
+                mean_cost[phase] = val.mean_cost
+                # drop this phase's tape now, not when the next phase has built its own
+                val = loss = None
             if robust:
                 rob = update_duals(rob, cfg.dual_lr, mean_cost["inner"], mean_cost["outer"])
             step += 1

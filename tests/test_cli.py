@@ -4,11 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wasecom import cli
 from wasecom.cli import main
 from wasecom.config import parse_config
+from wasecom.perturb import fgsm
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -116,6 +118,27 @@ def test_serial_sweep_builds_its_dataset_once(tmp_path, monkeypatch):
     assert main(argv) == 0
     assert len((tmp_path / "s" / "sweep.csv").read_text().splitlines()) == 1 + 2 * 2
     assert len(calls) == 1   # not once per cell
+
+
+def test_sweep_attack_radii_above_the_signed_step_still_bind(tmp_path):
+    # with a fixed FGSM step of 0.01 per pixel (0.06 in L2 here), every radius
+    # above 0.06 gave the same cell
+    cfg = _cfg_file(tmp_path)
+    assert main(["train", "--config", str(cfg)]) == 0
+    argv = ["sweep", "--config", str(cfg), "--ckpt", str(tmp_path / "out" / "model.ckpt"),
+            "--snr", "10", "--attack-eps", "0.1,0.5,1", "--out", str(tmp_path / "s")]
+    assert main(argv) == 0
+    rows = (tmp_path / "s" / "sweep.csv").read_text().splitlines()[1:]
+    mse = [float(row.split(",")[-5]) for row in rows]   # the attack label holds a comma
+    assert mse[0] < mse[1] < mse[2]
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.5, 5.0])
+def test_attack_radius_is_the_fgsm_step_length(eps):
+    x = np.random.default_rng(0).normal(size=(6, 36))
+    spec = cli._attack_for(eps, 1.0)
+    moved = fgsm(lambda leaf: leaf.square().sum(axis=1), x, spec)
+    assert np.allclose(np.linalg.norm(moved - x, axis=1), eps, rtol=0, atol=1e-12)
 
 
 def test_bad_configs_exit_2(tmp_path, capsys):

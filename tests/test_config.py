@@ -17,7 +17,7 @@ FULL = """
   "task": "image",
   "dataset": {"kind": "synthetic", "n": 64, "side": 8},
   "model": {"semantic_dim": 16},
-  "train": {"epochs": 3, "batch_size": 16, "lr": 0.002, "optimizer": "adam"},
+  "train": {"epochs": 3, "batch_size": 16, "lr": 0.002},
   "channel": {"kind": "rayleigh", "snr_db": 15.0},
   "robustness": {"rho": 0.1, "mu": 0.05, "lambda": 2.0, "use_lse": false},
   "perturb_inner": {"method": "pgd", "radius": 0.1, "steps": 4},
@@ -85,7 +85,6 @@ DEFAULT_CANONICAL = """\
     "radius": 0.1,
     "sample_count": 8,
     "sample_fraction": 1.0,
-    "step_size": 0.0,
     "steps": 5
   },
   "perturb_outer": {
@@ -94,7 +93,6 @@ DEFAULT_CANONICAL = """\
     "radius": 0.1,
     "sample_count": 8,
     "sample_fraction": 1.0,
-    "step_size": 0.0,
     "steps": 7
   },
   "robustness": {
@@ -114,9 +112,7 @@ DEFAULT_CANONICAL = """\
     "checkpoint_every": 0,
     "dual_lr": 0.01,
     "epochs": 2,
-    "lr": 0.001,
-    "optimizer": "adam",
-    "sub_steps": 1
+    "lr": 0.001
   }
 }
 """
@@ -162,7 +158,6 @@ README_CANONICAL = """\
     "radius": 0.5,
     "sample_count": 8,
     "sample_fraction": 1.0,
-    "step_size": 0.0,
     "steps": 3
   },
   "perturb_outer": {
@@ -171,7 +166,6 @@ README_CANONICAL = """\
     "radius": 0.1,
     "sample_count": 8,
     "sample_fraction": 1.0,
-    "step_size": 0.0,
     "steps": 7
   },
   "robustness": {
@@ -191,9 +185,7 @@ README_CANONICAL = """\
     "checkpoint_every": 0,
     "dual_lr": 0.01,
     "epochs": 20,
-    "lr": 0.002,
-    "optimizer": "adam",
-    "sub_steps": 1
+    "lr": 0.002
   }
 }
 """
@@ -225,6 +217,10 @@ def test_unknown_keys_rejected_with_section():
         C.parse_config('{"robustness": {"rho_typo": 0.1}}')
     with pytest.raises(C.ConfigError, match="perturb_inner"):
         C.parse_config('{"perturb_inner": {"radius": 0.1, "extra": 2}}')
+    for section, key in (("train", "sub_steps"), ("train", "optimizer"),
+                         ("perturb_inner", "step_size"), ("perturb_outer", "step_size")):
+        with pytest.raises(C.ConfigError, match=f"unknown key.*{section}.*{key}"):
+            C.parse_config({section: {key: 1}})
 
 
 def test_invalid_values_become_config_errors():
@@ -253,6 +249,15 @@ def test_invalid_values_become_config_errors():
                                 ("dataset", "max_len", 17), ("dataset", "max_len", 1)):
         with pytest.raises(C.ConfigError, match=f"{section}: {key}"):
             C.parse_config({section: {key: value}})
+    gaussian = {"method": "gaussian"}
+    for doc in ({"robustness": {"use_lse": True}},
+                {"robustness": {"use_lse": True}, "perturb_inner": gaussian},
+                {"perturb_inner": gaussian, "perturb_outer": gaussian},
+                {"perturb_outer": gaussian}):
+        with pytest.raises(C.ConfigError, match="train: .*use_lse"):
+            C.parse_config(doc)
+    C.parse_config({"robustness": {"use_lse": True}, "perturb_inner": gaussian,
+                    "perturb_outer": gaussian})
     with pytest.raises(C.ConfigError, match="dataset: side must divide 32"):
         C.parse_config({"dataset": {"kind": "cifar10", "side": 6, "path": "batch.bin"}})
     for vocab, max_len in ((2, 2), (64, 16)):  # the bounds themselves are accepted

@@ -73,7 +73,7 @@ def test_lse_combine_matches_scalar_version():
 def test_penalized_sup_one_dimensional_toy():
     # sup over the line of v - v^2 is 0.25 at v = 0.5
     x = np.zeros((1, 1))
-    spec = PerturbSpec(method="pgd", radius=np.inf, steps=10, step_size=0.1)
+    spec = PerturbSpec(method="pgd", radius=np.inf, steps=10)
     worst = O.penalized_sup_hard(lambda t: t.sum(axis=1), x, 1.0, spec)
     assert abs(worst[0, 0] - 0.5) < 1e-9
     sup_val = worst[0, 0] - worst[0, 0] ** 2

@@ -466,12 +466,6 @@ def test_lemma_hypothesis_is_enforced():
         ot.check_lemma1(P, family, member=0, rho=0.3, lam=1.0, grid=grid, lipschitz=1.0)
 
 
-def test_lipschitz_estimate_on_known_slope():
-    grid = ot.grid_1d(-1.0, 1.0, 201)
-    est = ot.estimate_grid_lipschitz(lambda x: 3.0 * float(x[0]), grid)
-    assert est == pytest.approx(3.0, rel=1e-6)
-
-
 def test_theory_suite_covers_and_passes():
     reports = ot.run_theory_suite(n_ball_samples=40, seed=0)
     assert len(reports) >= 10
