@@ -474,10 +474,10 @@ def _reference_evaluate(bundle, samples, channel_cfg, attack, seed, batch_size):
                                     w=np.concatenate([r.w[m] for _, _, r, m in batches]))
         adv = attacked(pgd, np.concatenate([b[m] for b, _, _, m in batches]),
                        np.concatenate([c[m] for _, c, _, m in batches]), picked)
-        bounds = np.cumsum([0] + [mask.sum() for *_, mask in batches])
+        pieces = np.split(adv, np.cumsum([mask.sum() for *_, mask in batches])[:-1])
         inputs = [centers.copy() for centers in inputs]
-        for (*_, mask), row, lo, hi in zip(batches, inputs, bounds, bounds[1:]):
-            row[mask] = adv[lo:hi]
+        for batch_inputs, (*_, mask), piece in zip(inputs, batches, pieces):
+            batch_inputs[mask] = piece
 
     se_sum = ssim_sum = nll_sum = bleu_sum = 0.0
     for (batch, _, realization, _), batch_inputs in zip(batches, inputs):
