@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
-import math
 import os
 import subprocess
 import sys
@@ -19,9 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import ChannelConfig
 from .config import (ConfigError, ExperimentConfig, build_dataset, model_dims,
-                     parse_config, serialize_config)
+                     parse_config, read_config_json, serialize_config)
 from .gradcheck import random_graph_suite
 from .metrics import MetricsRecord
 from .models import load_checkpoint, save_checkpoint
@@ -50,31 +48,8 @@ def _version_string() -> str:
     return f"wasecom {__version__} ({rev})"
 
 
-def _finite_float(text: str) -> float:
-    """An argparse type for a value that no config field checks: a finite number."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
-
-
-def _radius(text: str) -> float:
-    """An argparse type for an attack radius: finite and nonnegative (0 = clean)."""
-    value = _finite_float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
-    return value
-
-
-def _floats(text: str, item=_finite_float) -> list[float]:
-    return [item(tok) for tok in text.split(",") if tok.strip() != ""]
-
-
-def _radii(text: str) -> list[float]:
-    return _floats(text, _radius)
+def _floats(text: str) -> list[float]:
+    return [float(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
 def _positive_int(text: str) -> int:
@@ -95,28 +70,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=_version_string())
     sub = p.add_subparsers(dest="command")
 
+    # A train/eval/sweep flag's dest is the config key it sets: "section.key",
+    # or a top-level key.  _load_config writes it over the config file.
     def common(sp, needs_ckpt=False):
         sp.add_argument("--config", help="path to a JSON experiment config")
-        sp.add_argument("--out", help="output directory (default: config out_dir)")
-        sp.add_argument("--seed", type=int, help="override the run seed")
+        sp.add_argument("--out", dest="out_dir", help="output directory (default: config out_dir)")
+        sp.add_argument("--seed", type=int, help="the run seed")
         if needs_ckpt:
             sp.add_argument("--ckpt", help="checkpoint to evaluate")
 
     tr = sub.add_parser("train", help="run the configured training mode")
     common(tr)
-    tr.add_argument("--snr", type=float, help="override channel snr_db")
-    tr.add_argument("--rho", type=float, help="override source-side radius")
-    tr.add_argument("--mu", type=float, help="override signal-side radius")
+    tr.add_argument("--snr", dest="channel.snr_db", type=float, help="channel SNR in dB")
+    tr.add_argument("--rho", dest="robustness.rho", type=float, help="source-side radius")
+    tr.add_argument("--mu", dest="robustness.mu", type=float, help="signal-side radius")
 
     ev = sub.add_parser("eval", help="one evaluation cell on a checkpoint")
     common(ev, needs_ckpt=True)
-    ev.add_argument("--snr", type=float, help="override channel snr_db")
-    ev.add_argument("--attack-eps", type=_radius, help="FGSM radius (0 = clean)")
+    ev.add_argument("--snr", dest="channel.snr_db", type=float, help="channel SNR in dB")
+    ev.add_argument("--attack-eps", dest="eval.attack_eps", type=float, nargs=1, default=[0.0],
+                    help="FGSM radius (0 = clean)")
 
     sw = sub.add_parser("sweep", help="SNR x attack grid to CSV")
     common(sw, needs_ckpt=True)
-    sw.add_argument("--snr", type=_floats, help="comma list, e.g. 0,10,20")
-    sw.add_argument("--attack-eps", type=_radii, help="comma list, e.g. 0,0.1")
+    sw.add_argument("--snr", dest="eval.snr_db", type=_floats, help="comma list, e.g. 0,10,20")
+    sw.add_argument("--attack-eps", dest="eval.attack_eps", type=_floats,
+                    help="comma list, e.g. 0,0.1")
     sw.add_argument("--workers", type=_positive_int, default=1,
                     help="process count for sweep cells")
 
@@ -134,39 +113,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ----------------------------------------------------------------- plumbing
+# the dests of train/eval/sweep that are not config keys
+_NOT_CONFIG = {"command", "config", "ckpt", "workers"}
+
+
 def _load_config(args) -> ExperimentConfig:
-    if getattr(args, "config", None):
+    """The config file's JSON object (or {}) with each given flag written over
+    the key its dest names, parsed once: flags and file pass the same checks."""
+    raw = {}
+    if args.config:
         path = Path(args.config)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        cfg = parse_config(path)
-    else:
-        cfg = ExperimentConfig()
-    try:
-        return _with_overrides(cfg, args)
-    except ValueError as err:  # a config field's own check, e.g. a NaN snr_db
-        raise ConfigError(f"command-line override: {err}") from err
-
-
-def _with_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    train_cfg = cfg.train
-    if getattr(args, "seed", None) is not None:
-        train_cfg = dataclasses.replace(train_cfg, seed=args.seed)
-    if getattr(args, "snr", None) is not None and not isinstance(args.snr, list):
-        train_cfg = dataclasses.replace(
-            train_cfg, channel=dataclasses.replace(train_cfg.channel, snr_db=args.snr))
-    rob = train_cfg.robustness
-    if getattr(args, "rho", None) is not None:
-        rob = dataclasses.replace(rob, rho=args.rho)
-    if getattr(args, "mu", None) is not None:
-        rob = dataclasses.replace(rob, mu=args.mu)
-    if rob is not train_cfg.robustness:
-        train_cfg = dataclasses.replace(train_cfg, robustness=rob)
-    if train_cfg is not cfg.train:
-        cfg = dataclasses.replace(cfg, train=train_cfg)
-    if getattr(args, "out", None):
-        cfg = dataclasses.replace(cfg, out_dir=args.out)
-    return cfg
+        raw = read_config_json(path)
+    for dest, value in vars(args).items():
+        if value is None or dest in _NOT_CONFIG:
+            continue
+        *section, key = dest.split(".")
+        doc = raw.setdefault(section[0], {}) if section else raw
+        if isinstance(doc, dict):  # parse_config rejects a section that is not an object
+            doc[key] = value
+    return parse_config(raw)
 
 
 def _prepare_out(cfg: ExperimentConfig) -> Path:
@@ -177,17 +144,27 @@ def _prepare_out(cfg: ExperimentConfig) -> Path:
     return out
 
 
-def _write_metrics(path: Path, records: list[MetricsRecord]):
-    rows = [MetricsRecord.CSV_HEADER] + [r.csv_row() for r in records]
-    path.write_text("\n".join(rows) + "\n")
+def _write_metrics(path: Path, rows: list[str]):
+    path.write_text("\n".join([MetricsRecord.CSV_HEADER, *rows]) + "\n")
 
 
 def _attack_for(eps: float, fraction: float) -> PerturbSpec | None:
     """FGSM at radius eps: its signed step of eps per coordinate is at least eps
     in L2, so the projection puts every row with a nonzero gradient on the sphere."""
-    if not eps:  # None or 0: the clean cell
+    if not eps:  # 0: the clean cell
         return None
     return PerturbSpec(PerturbMethod.FGSM, radius=eps, epsilon_inf=eps, sample_fraction=fraction)
+
+
+def _sweep_cell(inputs, snr: float, eps: float) -> str:
+    """The metrics row of one (snr, eps) evaluation cell of a checkpoint on a
+    dataset; `inputs` is (config, checkpoint bundle, dataset)."""
+    cfg, bundle, data = inputs
+    channel = dataclasses.replace(cfg.train.channel, snr_db=snr)
+    attack = _attack_for(eps, cfg.eval_plan.attack_fraction)
+    rec = evaluate(bundle, data, channel, attack=attack,
+                   seed=cfg.train.seed, batch_size=cfg.eval_plan.batch_size)
+    return rec.csv_row()
 
 
 # -------------------------------------------------------------- subcommands
@@ -201,10 +178,9 @@ def _cmd_train(args) -> int:
     bundle, train_log = train(cfg.train, data, dims=dims, checkpoint_dir=ckpt_dir)
     save_checkpoint(bundle, out / "model.ckpt")
     train_log.write_csv(out / "train_log.csv")
-    rec = evaluate(bundle, data, cfg.train.channel, attack=None,
-                   seed=cfg.train.seed, batch_size=cfg.eval_plan.batch_size)
-    _write_metrics(out / "metrics.csv", [rec])
-    print(rec.csv_row())
+    row = _sweep_cell((cfg, bundle, data), cfg.train.channel.snr_db, 0.0)
+    _write_metrics(out / "metrics.csv", [row])
+    print(row)
     return 0
 
 
@@ -213,14 +189,11 @@ def _cmd_eval(args) -> int:
     if not args.ckpt:
         raise ConfigError("eval requires --ckpt")
     out = _prepare_out(cfg)
-    bundle = load_checkpoint(args.ckpt)
-    data = build_dataset(cfg)
-    attack = _attack_for(getattr(args, "attack_eps", None),
-                         cfg.eval_plan.attack_fraction)
-    rec = evaluate(bundle, data, cfg.train.channel, attack=attack,
-                   seed=cfg.train.seed, batch_size=cfg.eval_plan.batch_size)
-    _write_metrics(out / "metrics.csv", [rec])
-    print(rec.csv_row())
+    inputs = (cfg, load_checkpoint(args.ckpt), build_dataset(cfg))
+    # --attack-eps always sets the plan's one radius (default 0, the clean cell)
+    row = _sweep_cell(inputs, cfg.train.channel.snr_db, *cfg.eval_plan.attack_eps)
+    _write_metrics(out / "metrics.csv", [row])
+    print(row)
     return 0
 
 
@@ -235,17 +208,6 @@ def _init_sweep_worker(config_json: str, ckpt_path: str):
     _worker_inputs = (cfg, load_checkpoint(ckpt_path), build_dataset(cfg))
 
 
-def _sweep_cell(inputs, snr: float, eps: float) -> str:
-    """One (snr, eps) evaluation of the sweep's checkpoint on its dataset;
-    `inputs` is (config, checkpoint bundle, dataset)."""
-    cfg, bundle, data = inputs
-    channel = dataclasses.replace(cfg.train.channel, snr_db=snr)
-    attack = _attack_for(eps, cfg.eval_plan.attack_fraction)
-    rec = evaluate(bundle, data, channel, attack=attack,
-                   seed=cfg.train.seed, batch_size=cfg.eval_plan.batch_size)
-    return rec.csv_row()
-
-
 def _worker_sweep_cell(cell) -> str:
     """A pool worker's cell; module-level so process pools can pickle it."""
     return _sweep_cell(_worker_inputs, *cell)
@@ -254,8 +216,6 @@ def _worker_sweep_cell(cell) -> str:
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
     out = _prepare_out(cfg)
-    snrs = args.snr if args.snr else list(cfg.eval_plan.snr_db)
-    eps_list = args.attack_eps if args.attack_eps is not None else list(cfg.eval_plan.attack_eps)
     if args.ckpt:
         ckpt_path, data = args.ckpt, None
     else:
@@ -264,7 +224,7 @@ def _cmd_sweep(args) -> int:
         ckpt_path = str(out / "model.ckpt")
         save_checkpoint(bundle, ckpt_path)
     config_json = serialize_config(cfg)
-    cells = [(snr, eps) for snr in snrs for eps in eps_list]
+    cells = [(snr, eps) for snr in cfg.eval_plan.snr_db for eps in cfg.eval_plan.attack_eps]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers, initializer=_init_sweep_worker,
                                  initargs=(config_json, ckpt_path)) as pool:
@@ -272,7 +232,7 @@ def _cmd_sweep(args) -> int:
     else:
         inputs = (cfg, load_checkpoint(ckpt_path), build_dataset(cfg) if data is None else data)
         rows = [_sweep_cell(inputs, *cell) for cell in cells]
-    (out / "sweep.csv").write_text("\n".join([MetricsRecord.CSV_HEADER] + rows) + "\n")
+    _write_metrics(out / "sweep.csv", rows)
     print(f"{len(rows)} cells -> {out / 'sweep.csv'}")
     return 0
 

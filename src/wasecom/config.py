@@ -118,19 +118,21 @@ def _parse_section(raw: dict, name: str, factory, **extra):
         raise ConfigError(f"{name}: {err}") from err
 
 
-def parse_config(source) -> ExperimentConfig:
-    """Parse a JSON string/dict (or a path to one) into an ExperimentConfig."""
+def read_config_json(source) -> dict:
+    """The top-level JSON object of a config given as a path, JSON text or dict."""
     if isinstance(source, Path):
         source = source.read_text()
     if isinstance(source, str):
         try:
-            raw = json.loads(source)
+            source = json.loads(source)
         except json.JSONDecodeError as err:
             raise ConfigError(f"invalid JSON: {err}") from err
-    else:
-        raw = dict(source)
-    _checked(raw, "top level")
+    return _checked(source, "top level")
 
+
+def parse_config(source) -> ExperimentConfig:
+    """Parse a JSON string/dict (or a path to one) into an ExperimentConfig."""
+    raw = read_config_json(source)
     sections = {name: _parse_section(raw, name, factory)
                 for name, factory in _TRAIN_SECTIONS.items()}
     try:

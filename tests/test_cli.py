@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 from wasecom import cli
 from wasecom.cli import main
-from wasecom.config import parse_config
+from wasecom.config import _SECTION_KEYS, parse_config, to_canonical_dict
 from wasecom.perturb import fgsm
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -141,6 +142,39 @@ def test_attack_radius_is_the_fgsm_step_length(eps):
     assert np.allclose(np.linalg.norm(moved - x, axis=1), eps, rtol=0, atol=1e-12)
 
 
+def test_flag_dests_name_config_keys():
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for command in ("train", "eval", "sweep"):
+        for action in commands.choices[command]._actions:
+            if action.dest in cli._NOT_CONFIG | {"help"}:
+                continue
+            *section, key = action.dest.split(".")
+            assert key in _SECTION_KEYS[section[0] if section else "top level"], action.dest
+
+
+@pytest.mark.parametrize("argv,keys", [
+    (["train", "--snr", "5", "--rho", "0.2", "--seed", "4"],
+     {("channel", "snr_db"): 5.0, ("robustness", "rho"): 0.2, ("seed",): 4}),
+    (["eval", "--snr", "5", "--attack-eps", "0.3"],
+     {("channel", "snr_db"): 5.0, ("eval", "attack_eps"): [0.3]}),
+    (["eval"], {("eval", "attack_eps"): [0.0]}),
+    (["sweep", "--snr", "0,10", "--attack-eps", "0.1"],
+     {("eval", "snr_db"): [0.0, 10.0], ("eval", "attack_eps"): [0.1]})])
+def test_config_json_records_the_flags(tmp_path, argv, keys):
+    cfg = _cfg_file(tmp_path)
+    if argv[0] != "train":
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "ck")]) == 0
+        argv = argv + ["--ckpt", str(tmp_path / "ck" / "model.ckpt")]
+    assert main(argv + ["--config", str(cfg)]) == 0
+    snapshot = to_canonical_dict(parse_config((tmp_path / "out" / "config.json").read_text()))
+    for path, value in keys.items():
+        node = snapshot
+        for name in path:
+            node = node[name]
+        assert node == value, path
+
+
 def test_bad_configs_exit_2(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["train", "--config", str(missing)]) == 2
@@ -171,11 +205,14 @@ def test_bad_values_are_config_errors(tmp_path, capsys, section, value):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("override", [["--snr", "nan"], ["--rho", "nan"], ["--mu", "inf"],
-                                      ["--rho", "-1"]])
-def test_bad_train_overrides_are_config_errors(tmp_path, capsys, override):
+@pytest.mark.parametrize("override,section", [(["--snr", "nan"], "channel"),
+                                              (["--rho", "nan"], "robustness"),
+                                              (["--mu", "inf"], "robustness"),
+                                              (["--rho", "-1"], "robustness")])
+def test_bad_train_overrides_are_config_errors(tmp_path, capsys, override, section):
+    # a flag is a config key, so the key's own section check rejects it
     assert main(["train", "--config", str(_cfg_file(tmp_path))] + override) == 2
-    assert "config error: command-line override" in capsys.readouterr().err
+    assert f"config error: {section}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
