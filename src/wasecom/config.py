@@ -144,7 +144,7 @@ def parse_config(source) -> ExperimentConfig:
     except ValueError as err:
         raise ConfigError(f"task: {err}") from err
 
-    train = _parse_section(raw, "train", TrainConfig, seed=int(raw.get("seed", 0)), mode=mode,
+    train = _parse_section(raw, "train", TrainConfig, seed=raw.get("seed", 0), mode=mode,
                            **sections)
     return ExperimentConfig(
         run_id=str(raw.get("run_id", "run")),

@@ -68,6 +68,8 @@ class TrainConfig:
         default_factory=lambda: PerturbSpec(PerturbMethod.FGSM, radius=0.1))
 
     def __post_init__(self):
+        if type(self.seed) is bool or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.epochs < 0:

@@ -208,7 +208,8 @@ def test_bad_values_are_config_errors(tmp_path, capsys, section, value):
 @pytest.mark.parametrize("override,section", [(["--snr", "nan"], "channel"),
                                               (["--rho", "nan"], "robustness"),
                                               (["--mu", "inf"], "robustness"),
-                                              (["--rho", "-1"], "robustness")])
+                                              (["--rho", "-1"], "robustness"),
+                                              (["--seed", "-3"], "train")])
 def test_bad_train_overrides_are_config_errors(tmp_path, capsys, override, section):
     # a flag is a config key, so the key's own section check rejects it
     assert main(["train", "--config", str(_cfg_file(tmp_path))] + override) == 2

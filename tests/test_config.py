@@ -230,6 +230,9 @@ def test_invalid_values_become_config_errors():
         C.parse_config('{"robustness": {"rho": -1}}')
     with pytest.raises(C.ConfigError, match="train"):
         C.parse_config('{"train": {"batch_size": 0}}')
+    for seed in ("abc", None, 1.7, 2.0, -3, True):
+        with pytest.raises(C.ConfigError, match="train: seed must be a nonnegative integer"):
+            C.parse_config({"seed": seed})
     with pytest.raises(C.ConfigError, match="robustness.*mu"):
         C.parse_config('{"robustness": {"mu": NaN}}')
     for key in ("semantic_dim", "signal_dim", "hidden_dim", "embed_dim"):
