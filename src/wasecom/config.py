@@ -28,6 +28,10 @@ class ConfigError(ValueError):
     """Schema violation: unknown key, bad type, or invalid value."""
 
 
+# the task of each file-backed dataset kind; "synthetic" generates either task
+_FILE_KIND_TASK = {"cifar10": TaskKind.IMAGE, "text-lines": TaskKind.TEXT}
+
+
 @dataclass
 class DatasetSpec:
     kind: str = "synthetic"      # synthetic | cifar10 | text-lines
@@ -38,6 +42,10 @@ class DatasetSpec:
     path: str | None = None
 
     def __post_init__(self):
+        if self.kind != "synthetic" and self.kind not in _FILE_KIND_TASK:
+            raise ValueError(f"kind must be synthetic, cifar10 or text-lines, got {self.kind!r}")
+        if self.kind in _FILE_KIND_TASK and not self.path:
+            raise ValueError(f"path is required for kind {self.kind!r}")
         if self.n < 1:
             raise ValueError(f"n must be at least 1, got {self.n}")
         if self.side < 2:
@@ -92,6 +100,12 @@ class ExperimentConfig:
     model: ModelSpec = field(default_factory=ModelSpec)
     train: TrainConfig = field(default_factory=TrainConfig)
     eval_plan: EvalPlan = field(default_factory=EvalPlan)
+
+    def __post_init__(self):
+        task = _FILE_KIND_TASK.get(self.dataset.kind, self.task)
+        if task is not self.task:
+            raise ConfigError(f"dataset: kind {self.dataset.kind!r} holds {task.value} data, "
+                              f"but task is {self.task.value!r}")
 
 
 # The sections nested in TrainConfig that the JSON holds at the top level.
@@ -203,16 +217,10 @@ def build_dataset(cfg: ExperimentConfig) -> Dataset:
         return generate_synthetic_text(ds.n, vocab_size=ds.vocab_size,
                                        max_len=ds.max_len, seed=cfg.train.seed)
     if ds.kind == "cifar10":
-        if not ds.path:
-            raise ConfigError("dataset.path is required for kind 'cifar10'")
         return ingest_cifar10_binary(ds.path, side=ds.side)
-    if ds.kind == "text-lines":
-        if not ds.path:
-            raise ConfigError("dataset.path is required for kind 'text-lines'")
-        counts = Counter(Path(ds.path).read_text().split())
-        vocab = ["<unk>"] + [w for w, _ in counts.most_common(ds.vocab_size - 1)]
-        return ingest_text_lines(ds.path, vocab, max_len=ds.max_len)
-    raise ConfigError(f"unknown dataset kind {ds.kind!r}")
+    counts = Counter(Path(ds.path).read_text().split())  # text-lines
+    vocab = ["<unk>"] + [w for w, _ in counts.most_common(ds.vocab_size - 1)]
+    return ingest_text_lines(ds.path, vocab, max_len=ds.max_len)
 
 
 def model_dims(cfg: ExperimentConfig, data: Dataset) -> ModelDims:

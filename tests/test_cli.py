@@ -197,6 +197,10 @@ def test_bad_configs_exit_2(tmp_path, capsys):
                                            ("dataset", {"max_len": 1}),
                                            ("dataset", {"kind": "cifar10", "side": 6,
                                                         "path": "batch.bin"}),
+                                           ("dataset", {"kind": "nonsense"}),
+                                           ("dataset", {"kind": "cifar10"}),
+                                           ("dataset", {"kind": "text-lines",
+                                                        "path": "corpus.txt"}),
                                            ("eval", {"attack_eps": [-0.5, 0.0, 0.5]}),
                                            ("train", {"checkpoint_every": -1})])
 def test_bad_values_are_config_errors(tmp_path, capsys, section, value):

@@ -266,6 +266,14 @@ def test_invalid_values_become_config_errors():
     for vocab, max_len in ((2, 2), (64, 16)):  # the bounds themselves are accepted
         C.parse_config({"dataset": {"vocab_size": vocab, "max_len": max_len}})
     C.parse_config({"dataset": {"kind": "cifar10", "side": 16, "path": "batch.bin"}})
+    for kind, path in (("nonsense", None), ("cifar10", None), ("cifar10", ""),
+                       ("text-lines", None)):
+        with pytest.raises(C.ConfigError, match="dataset: (kind|path)"):
+            C.parse_config({"dataset": {"kind": kind, "path": path}})
+    for task, kind in (("text", "cifar10"), ("image", "text-lines")):
+        with pytest.raises(C.ConfigError, match=f"dataset: kind '{kind}'.*task is '{task}'"):
+            C.parse_config({"task": task, "dataset": {"kind": kind, "path": "data.bin"}})
+    C.parse_config({"task": "text", "dataset": {"kind": "text-lines", "path": "corpus.txt"}})
     with pytest.raises(C.ConfigError, match="invalid JSON"):
         C.parse_config("{nope")
 
@@ -303,12 +311,11 @@ def test_build_dataset_from_files(tmp_path):
     }))
     ds = C.build_dataset(cfg)
     assert ds.vocab_size == 3  # <unk> + two most common words
-    cfg = C.parse_config('{"dataset": {"kind": "cifar10"}}')
-    with pytest.raises(C.ConfigError, match="path"):
-        C.build_dataset(cfg)
-    cfg = C.parse_config('{"dataset": {"kind": "nonsense"}}')
-    with pytest.raises(C.ConfigError, match="nonsense"):
-        C.build_dataset(cfg)
+    # a file kind without a path and an unknown kind fail at parse time
+    with pytest.raises(C.ConfigError, match="dataset: path is required for kind 'cifar10'"):
+        C.parse_config('{"dataset": {"kind": "cifar10"}}')
+    with pytest.raises(C.ConfigError, match="dataset: kind must be .*'nonsense'"):
+        C.parse_config('{"dataset": {"kind": "nonsense"}}')
 
 
 def test_model_dims_derivation_and_override():
