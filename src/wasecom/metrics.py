@@ -144,7 +144,7 @@ def _sentence_bleu(cand: np.ndarray, refs: np.ndarray, r: int, max_n: int,
 class MetricsRecord:
     task: str
     snr_db: float
-    attack: str            # "clean" or e.g. "fgsm(eps=0.01,frac=0.10)"
+    attack: str            # "clean" or e.g. "fgsm(eps=0.01;frac=0.1)", no comma
     mse: float
     psnr_db: float | None = None
     ssim: float | None = None

@@ -260,7 +260,7 @@ def _attacking(attack: PerturbSpec | None) -> bool:
 def _attack_label(attack: PerturbSpec | None) -> str:
     if not _attacking(attack):
         return "clean"
-    return f"{attack.method.value}(eps={attack.radius:g},frac={attack.sample_fraction:g})"
+    return f"{attack.method.value}(eps={attack.radius:g};frac={attack.sample_fraction:g})"
 
 
 def _attack_rows(frozen: ModelBundle, samples, centers: np.ndarray,

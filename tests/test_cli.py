@@ -130,7 +130,7 @@ def test_sweep_attack_radii_above_the_signed_step_still_bind(tmp_path):
             "--snr", "10", "--attack-eps", "0.1,0.5,1", "--out", str(tmp_path / "s")]
     assert main(argv) == 0
     rows = (tmp_path / "s" / "sweep.csv").read_text().splitlines()[1:]
-    mse = [float(row.split(",")[-5]) for row in rows]   # the attack label holds a comma
+    mse = [float(row.split(",")[3]) for row in rows]
     assert mse[0] < mse[1] < mse[2]
 
 

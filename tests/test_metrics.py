@@ -1,9 +1,13 @@
+import csv
+
 import numpy as np
 import pytest
 
 from wasecom import metrics as MX
 from wasecom import models as M
+from wasecom.perturb import PerturbMethod, PerturbSpec
 from wasecom.tensor import Tensor
+from wasecom.training import _attack_label
 
 
 def test_psnr_known_points():
@@ -104,6 +108,11 @@ def test_metrics_record_csv_shape():
     fields = row.split(",")
     assert len(fields) == 8 and fields[0] == "image" and fields[-1] == "256"
     assert fields[6] == ""  # bleu empty for the image task
+    # an attacked cell's label stays one field for a CSV reader
+    attack = PerturbSpec(PerturbMethod.FGSM, radius=0.5, sample_fraction=0.5)
+    rec.attack = _attack_label(attack)
+    (fields,) = csv.reader([rec.csv_row()])
+    assert len(fields) == 8 and fields[2] == "fgsm(eps=0.5;frac=0.5)" and fields[3] == "0.01"
 
 
 # ------------------------------------------- batched forms against references

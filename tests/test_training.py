@@ -530,7 +530,7 @@ def test_batched_evaluate_matches_per_item_reference(task, kind, attack):
 # rows (12, 12, then a ragged 6).  PGD stays out: its normalized step divides by
 # the gradient's norm, and BLAS may round a transposed-operand matmul's row in
 # its last bit differently with the number of rows in the call.
-EVALUATE_GRID_SHA = "b1aa49f6d7dc8d2f9bf3e68bb0925b7607151535f3e3aaebc7d2521974fce416"
+EVALUATE_GRID_SHA = "f9cf24adc56e0220fd4c36ede5964486f13d6f637aca4cb6295b188db155efa4"
 
 
 def test_evaluate_grid_is_pinned():
