@@ -197,25 +197,24 @@ def test_bad_configs_exit_2(tmp_path, capsys):
                                            ("dataset", {"max_len": 1}),
                                            ("dataset", {"kind": "cifar10", "side": 6,
                                                         "path": "batch.bin"}),
+                                           ("eval", {"attack_eps": [-0.5, 0.0, 0.5]}),
+                                           ("train", {"checkpoint_every": -1}),
                                            ("dataset", {"kind": "nonsense"}),
                                            ("dataset", {"kind": "cifar10"}),
                                            ("dataset", {"kind": "text-lines",
-                                                        "path": "corpus.txt"}),
-                                           ("eval", {"attack_eps": [-0.5, 0.0, 0.5]}),
-                                           ("train", {"checkpoint_every": -1})])
+                                                        "path": "corpus.txt"})])
 def test_bad_values_are_config_errors(tmp_path, capsys, section, value):
     assert main(["train", "--config", str(_cfg_file(tmp_path, **{section: value}))]) == 2
     assert f"config error: {section}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("override,section", [(["--snr", "nan"], "channel"),
-                                              (["--rho", "nan"], "robustness"),
-                                              (["--mu", "inf"], "robustness"),
-                                              (["--rho", "-1"], "robustness"),
-                                              (["--seed", "-3"], "train")])
-def test_bad_train_overrides_are_config_errors(tmp_path, capsys, override, section):
-    # a flag is a config key, so the key's own section check rejects it
+@pytest.mark.parametrize("override", [["--snr", "nan"], ["--rho", "nan"], ["--mu", "inf"],
+                                      ["--rho", "-1"], ["--seed", "-3"]])
+def test_bad_train_overrides_are_config_errors(tmp_path, capsys, override):
+    # a flag is a config key, so the check of the key's section rejects it
+    section = {"--snr": "channel", "--rho": "robustness", "--mu": "robustness",
+               "--seed": "train"}[override[0]]
     assert main(["train", "--config", str(_cfg_file(tmp_path))] + override) == 2
     assert f"config error: {section}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
