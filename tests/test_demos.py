@@ -1,7 +1,8 @@
 """The quick demos run end to end as scripts and exit 0.
 
 Demos 01-05 take about 1.6 s together.  Demos 06 and 07 train full models
-(about 5 s and 33 s) and stay a manual check:
+(about 5 s and 24 s), so they stay out of tier-1; the CI workflow runs them
+after it, and by hand:
 
     for f in demos/0[67]_*.py; do PYTHONPATH=src python "$f" || echo "FAILED $f"; done
 """
