@@ -220,6 +220,12 @@ def test_bad_train_overrides_are_config_errors(tmp_path, capsys, override):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_flag_over_a_section_that_is_not_an_object_is_a_config_error(tmp_path, capsys):
+    assert main(["train", "--config", str(_cfg_file(tmp_path, channel=5)), "--snr", "3"]) == 2
+    assert "config error: channel must be a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv", [["sweep", "--snr", "nan", "--attack-eps", "0"],
                                   ["sweep", "--snr", "10", "--attack-eps", "0,inf"],
                                   ["eval", "--attack-eps", "nan"]])
