@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -288,3 +290,55 @@ def test_stacked_lse_matches_per_draw_loop(task, phase, k):
         assert np.allclose(got.grad, want.grad, rtol=1e-10, atol=1e-15), name
         moved += np.any(want.grad != 0)
     assert moved > 0
+
+
+def _dual_objective_case(task, phase, path):
+    make, seed = (image_bundle, 50) if task == "image" else (text_bundle, 51)
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(size=(5, 16)) if task == "image" else rng.integers(0, 16, size=(5, 6))
+    rob = O.RobustnessConfig(rho=0.4, mu=0.3, lam=0.05, gamma=0.9,
+                             use_lse=path == "lse", epsilon_temp=0.2)
+    if path == "lse":
+        spec = PerturbSpec(method="gaussian", sample_count=4)
+    elif phase == "inner":
+        spec = PerturbSpec(method="pgd", steps=3)
+    else:
+        spec = PerturbSpec(method="fgsm", epsilon_inf=1.0)
+    bundle = make(seed)
+    objective = O.inner_dual_loss if phase == "inner" else O.outer_dual_loss
+    val = objective(bundle, x, ChannelConfig(snr_db=9.0), rob, spec, np.random.default_rng(60),
+                    attack_rng=np.random.default_rng(61))
+    val.total.backward()
+    return bundle, val
+
+
+# sha256 of each dual objective's value, its reported terms, its worst case
+# (hard path only) and every parameter's gradient after total.backward().
+# Hard path: PGD-3 inner, FGSM with eps_inf = 1 outer.  LSE path: K = 4 draws
+# at epsilon_temp 0.2.
+DUAL_OBJECTIVE_SHA = {
+    "image-inner-hard": "7a62748fb8fa84816f5beec9ffac2d416cf42c6b6816d1968cfa717863b592be",
+    "text-inner-hard": "180defafe080fa3270e5de061e45e27200405aa253e0b314755751d4bec17035",
+    "image-outer-hard": "1dd6b7b37a54b4c053e1c7577ad287f1b48da5d7d058ac89c846b1e1bb734b43",
+    "text-outer-hard": "e48464b74dc2c2c2a3d171d9b295032af205ddfaa18886aca2c41460b179dea1",
+    "image-inner-lse": "e1df5547c11bb6d1ad918ae60906cf56ee9b7da60f9e2eae11ccf6e661a7486c",
+    "text-inner-lse": "ce28ffac1298387ba3770ff9d47ecc4450006d8e874eb6be93b32ef06e797883",
+    "image-outer-lse": "a9e1d4f77630f9f27b1d5d2b8115978f7dd49d1eb601ade4de9de8a856056913",
+    "text-outer-lse": "189ad38af52601a531578047d1086da638e59cc66afc0a2ee3d122912a5972f2",
+}
+
+
+@pytest.mark.parametrize("path", ["hard", "lse"])
+@pytest.mark.parametrize("task,phase", [("image", "inner"), ("text", "inner"),
+                                        ("image", "outer"), ("text", "outer")])
+def test_dual_objectives_are_pinned(task, phase, path):
+    bundle, val = _dual_objective_case(task, phase, path)
+    h = hashlib.sha256()
+    h.update(val.total.data.tobytes())
+    for term in (val.penalty_term, val.expectation_term, val.mean_cost):
+        h.update(np.float64(term).tobytes())
+    if val.worst_case is not None:
+        h.update(val.worst_case.tobytes())
+    for name, p in bundle.named_params():
+        h.update(name.encode() + p.grad.tobytes())
+    assert h.hexdigest() == DUAL_OBJECTIVE_SHA[f"{task}-{phase}-{path}"]
