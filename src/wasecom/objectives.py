@@ -59,10 +59,6 @@ class DualObjectiveValue:
     worst_case: np.ndarray | None = None
 
 
-def _cost_in_graph(leaf: Tensor, center: np.ndarray) -> Tensor:
-    return (leaf - Tensor(center)).square().sum(axis=1)
-
-
 def lse_combine(scored: Tensor, epsilon_temp: float) -> Tensor:
     """In-graph per-sample LSE over axis 0 of a (K, B) score tensor; max is detached.
 
@@ -80,7 +76,8 @@ def penalized_sup_hard(per_sample_loss_fn, x: np.ndarray, dual_var: float,
     """Ascend loss(v) - dual_var * ||v - x||^2 inside the spec's ball; return v*."""
 
     def scored(leaf: Tensor) -> Tensor:
-        return per_sample_loss_fn(leaf) - T.scale(_cost_in_graph(leaf, x), dual_var)
+        cost = (leaf - Tensor(x)).square().sum(axis=1)
+        return per_sample_loss_fn(leaf) - T.scale(cost, dual_var)
 
     if spec.method is PerturbMethod.FGSM:
         return fgsm(scored, x, spec)
@@ -111,33 +108,42 @@ def clean_outer_loss(bundle, x, channel_cfg: ChannelConfig, rng) -> Tensor:
 
 
 # ----------------------------------------------------------- dual objectives
-def _penalized_objective(live_scored, frozen_loss, center: np.ndarray, dual_var: float,
-                         radius: float, rob: RobustnessConfig, spec: PerturbSpec,
+def _penalized_objective(loss_at, bundle, live_center: Tensor, dual_var: float, radius: float,
+                         rob: RobustnessConfig, spec: PerturbSpec,
                          draw_rng: np.random.Generator) -> DualObjectiveValue:
     """penalty + E_batch[sup_v loss(v) - dual_var * ||v - center||^2] for one phase.
 
-    `live_scored` maps (K, B, D) offsets from `center` to the (K, B) in-graph
-    scores and their costs, in one stacked pass over K copies of the batch.
-    The LSE path scores K Gaussian draws and smooths their maximum; the hard
-    path scores the single optimum that `penalized_sup_hard` finds on the
-    frozen `frozen_loss`.
+    `loss_at(view, points, k)` is the phase's (k*B,) per-sample loss under a
+    bundle view at (k*B, D) points, k stacked copies of the batch.  The points
+    are the live (B, D) center plus constant offsets: K Gaussian draws on the
+    LSE path, whose scores are smoothed over their maximum, or the single
+    optimum that `penalized_sup_hard` finds on the frozen view (hard path).
     """
+    center = live_center.data
     spec = dataclasses.replace(spec, radius=radius)
+    worst = None
     if rob.use_lse:
-        draws = gaussian_samples(center, spec, draw_rng)
-        scored, cost = live_scored(draws - center)
+        offsets = gaussian_samples(center, spec, draw_rng) - center
+    else:
+        if spec.method in (PerturbMethod.NONE, PerturbMethod.GAUSSIAN) or radius == 0:
+            worst = center.copy()
+        else:
+            frozen = bundle.frozen()
+            worst = penalized_sup_hard(lambda leaf: loss_at(frozen, leaf, 1), center, dual_var,
+                                       spec)
+        offsets = (worst - center)[None]
+
+    k, b, d = offsets.shape
+    points = (live_center.reshape(1, b, d) + Tensor(offsets)).reshape(k * b, d)
+    cost = np.sum(offsets**2, axis=2)
+    scored = loss_at(bundle, points, k).reshape(k, b) - T.scale(Tensor(cost), dual_var)
+    if rob.use_lse:
         expectation = lse_combine(scored, rob.epsilon_temp).mean()
         # envelope weight: softmax of scores at the optimum
         soft = np.exp((scored.data - scored.data.max(axis=0)) / rob.epsilon_temp)
         soft /= soft.sum(axis=0)
         mean_cost = float(np.mean(np.sum(soft * cost, axis=0)))
-        worst = None
     else:
-        if spec.method in (PerturbMethod.NONE, PerturbMethod.GAUSSIAN) or radius == 0:
-            worst = center.copy()
-        else:
-            worst = penalized_sup_hard(frozen_loss, center, dual_var, spec)
-        scored, cost = live_scored((worst - center)[None])
         expectation = scored.mean()
         mean_cost = float(np.mean(cost))
 
@@ -154,32 +160,19 @@ def inner_dual_loss(bundle, x, channel_cfg: ChannelConfig, rob: RobustnessConfig
     """Source-side robust objective; gradients feed the semantic codec.
 
     One channel realization is drawn against the clean pass and reused for the
-    attack search and the final differentiable pass.
+    attack search and the final differentiable pass.  Text is perturbed in
+    embedding space around the live lookup, so the table gets gradient.
     """
-    frozen = bundle.frozen()
     is_text = bundle.task is M.TaskKind.TEXT
-    center = M.embed_tokens(frozen, x).data if is_text else np.asarray(x, dtype=float)
-    u0 = M.encode_signal(frozen, Tensor(center))
+    center = M.embed_tokens(bundle, x) if is_text else Tensor(np.asarray(x, dtype=float))
+    u0 = M.encode_signal(bundle.frozen(), Tensor(center.data))
     realization = realization_for(channel_cfg, u0.data, rng)
-    lam = rob.lam
 
-    def frozen_loss(leaf: Tensor) -> Tensor:
-        return M.per_sample_reconstruction_loss(frozen, x, M.pipeline(frozen, leaf, realization))
+    def loss_at(view, points: Tensor, k: int) -> Tensor:
+        out = M.pipeline(view, points, _tile(realization, k))
+        return M.per_sample_reconstruction_loss(view, np.tile(x, (k, 1)), out)
 
-    def live_scored(offsets: np.ndarray):
-        k, b = offsets.shape[:2]
-        cost = np.sum(offsets.reshape(k, b, -1) ** 2, axis=2)
-        if is_text:
-            # the live embedding lookup stays in the graph, so the table gets gradient
-            emb = M.embed_tokens(bundle, x)
-            inputs = (emb.reshape(1, *emb.shape) + Tensor(offsets)).reshape(k * b, emb.shape[1])
-        else:
-            inputs = Tensor((center + offsets).reshape(k * b, -1))
-        out = M.pipeline(bundle, inputs, _tile(realization, k))
-        loss = M.per_sample_reconstruction_loss(bundle, np.tile(x, (k, 1)), out)
-        return loss.reshape(k, b) - T.scale(Tensor(cost), lam), cost
-
-    return _penalized_objective(live_scored, frozen_loss, center, lam, rob.rho, rob, spec,
+    return _penalized_objective(loss_at, bundle, center, rob.lam, rob.rho, rob, spec,
                                 attack_rng or rng)
 
 
@@ -192,23 +185,14 @@ def outer_dual_loss(bundle, x, channel_cfg: ChannelConfig, rob: RobustnessConfig
     a ball of radius mu.  The offsets re-enter the graph on top of the
     transmitted signal so the channel encoder keeps its gradient path.
     """
-    frozen = bundle.frozen()
-    s0 = M.semantic_encode(frozen, x).data
+    s0 = M.semantic_encode(bundle.frozen(), x).data
     u = M.channel_encode(bundle, Tensor(s0))
     z, _ = transmit(channel_cfg, u, rng)
-    gamma = rob.gamma
 
-    def frozen_loss(leaf: Tensor) -> Tensor:
-        return M.per_sample_channel_loss(Tensor(s0), M.channel_decode(frozen, leaf))
+    def loss_at(view, points: Tensor, k: int) -> Tensor:
+        return M.per_sample_channel_loss(Tensor(np.tile(s0, (k, 1))), M.channel_decode(view, points))
 
-    def live_scored(offsets: np.ndarray):
-        k, b, d = offsets.shape
-        cost = np.sum(offsets**2, axis=2)
-        s_hat = M.channel_decode(bundle, (z.reshape(1, b, d) + Tensor(offsets)).reshape(k * b, d))
-        loss = M.per_sample_channel_loss(Tensor(np.tile(s0, (k, 1))), s_hat)
-        return loss.reshape(k, b) - T.scale(Tensor(cost), gamma), cost
-
-    return _penalized_objective(live_scored, frozen_loss, z.data, gamma, rob.mu, rob, spec,
+    return _penalized_objective(loss_at, bundle, z, rob.gamma, rob.mu, rob, spec,
                                 attack_rng or rng)
 
 

@@ -344,8 +344,7 @@ def evaluate(bundle: ModelBundle, data, channel_cfg: ChannelConfig,
     out = M.decode_signal(frozen, u, realization)
 
     # pixel MSE for images, mean token NLL for text
-    per_sample = (np.mean((out.data - samples) ** 2, axis=1) if task is TaskKind.IMAGE
-                  else M.per_sample_reconstruction_loss(frozen, samples, out).data)
+    per_sample = M.per_sample_reconstruction_loss(frozen, samples, out).data
     if task is TaskKind.TEXT:
         decoded = M.greedy_decode(out.data, n, bundle.dims.seq_len)
     loss_sum = ssim_sum = bleu_sum = 0.0
