@@ -85,8 +85,11 @@ class EvalPlan:
         if not 0.0 <= self.attack_fraction <= 1.0:
             raise ValueError(f"attack_fraction must lie in [0, 1], got {self.attack_fraction}")
         for name in ("snr_db", "attack_eps"):
-            if not all(math.isfinite(v) for v in getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            values = getattr(self, name)
+            if len(values) == 0:
+                raise ValueError(f"{name} must list at least one value")
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError(f"{name} must be finite, got {values}")
         if any(eps < 0 for eps in self.attack_eps):
             raise ValueError(f"attack_eps radii must be nonnegative, got {self.attack_eps}")
 

@@ -202,7 +202,9 @@ def test_bad_configs_exit_2(tmp_path, capsys):
                                            ("dataset", {"kind": "nonsense"}),
                                            ("dataset", {"kind": "cifar10"}),
                                            ("dataset", {"kind": "text-lines",
-                                                        "path": "corpus.txt"})])
+                                                        "path": "corpus.txt"}),
+                                           ("eval", {"snr_db": []}),
+                                           ("eval", {"attack_eps": []})])
 def test_bad_values_are_config_errors(tmp_path, capsys, section, value):
     assert main(["train", "--config", str(_cfg_file(tmp_path, **{section: value}))]) == 2
     assert f"config error: {section}" in capsys.readouterr().err
@@ -223,6 +225,16 @@ def test_bad_train_overrides_are_config_errors(tmp_path, capsys, override):
 def test_a_flag_over_a_section_that_is_not_an_object_is_a_config_error(tmp_path, capsys):
     assert main(["train", "--config", str(_cfg_file(tmp_path, channel=5)), "--snr", "3"]) == 2
     assert "config error: channel must be a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--snr", ""], ["sweep", "--attack-eps", ""]])
+def test_an_empty_eval_grid_fails_before_any_work(tmp_path, capsys, argv):
+    # a sweep over no cells once trained, saved a checkpoint and wrote a header-only csv
+    junk = tmp_path / "junk.ckpt"
+    junk.write_bytes(b"not a checkpoint at all")
+    assert main(argv + ["--config", str(_cfg_file(tmp_path)), "--ckpt", str(junk)]) == 2
+    assert "config error: eval" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

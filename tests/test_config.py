@@ -245,6 +245,7 @@ def test_invalid_values_become_config_errors():
                                 ("eval", "snr_db", [0.0, float("inf")]),
                                 ("eval", "attack_eps", [float("nan")]),
                                 ("eval", "attack_eps", [0.0, -0.5]),
+                                ("eval", "snr_db", []), ("eval", "attack_eps", []),
                                 ("train", "checkpoint_every", -1),
                                 ("dataset", "n", 0), ("dataset", "side", 1),
                                 ("dataset", "vocab_size", 100), ("dataset", "vocab_size", 65),
