@@ -105,6 +105,10 @@ class ExperimentConfig:
     eval_plan: EvalPlan = field(default_factory=EvalPlan)
 
     def __post_init__(self):
+        for name in ("run_id", "out_dir"):
+            value = getattr(self, name)
+            if not isinstance(value, str) or not value:
+                raise ConfigError(f"{name} must be a non-empty string, got {value!r}")
         task = _FILE_KIND_TASK.get(self.dataset.kind, self.task)
         if task is not self.task:
             raise ConfigError(f"dataset: kind {self.dataset.kind!r} holds {task.value} data, "
@@ -164,8 +168,8 @@ def parse_config(source) -> ExperimentConfig:
     train = _parse_section(raw, "train", TrainConfig, seed=raw.get("seed", 0), mode=mode,
                            **sections)
     return ExperimentConfig(
-        run_id=str(raw.get("run_id", "run")),
-        out_dir=str(raw.get("out_dir", "runs/run")),
+        run_id=raw.get("run_id", "run"),
+        out_dir=raw.get("out_dir", "runs/run"),
         task=task,
         dataset=_parse_section(raw, "dataset", DatasetSpec),
         model=_parse_section(raw, "model", ModelSpec),

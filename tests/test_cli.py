@@ -238,6 +238,15 @@ def test_an_empty_eval_grid_fails_before_any_work(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+def test_an_empty_out_dir_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # Path("") is the working directory, where a run would once have written
+    cfg = _cfg_file(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(["train", "--config", str(cfg), "--out", ""]) == 2
+    assert "config error: out_dir must be a non-empty string" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 @pytest.mark.parametrize("argv", [["sweep", "--snr", "nan", "--attack-eps", "0"],
                                   ["sweep", "--snr", "10", "--attack-eps", "0,inf"],
                                   ["eval", "--attack-eps", "nan"]])

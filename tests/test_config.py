@@ -275,6 +275,10 @@ def test_invalid_values_become_config_errors():
         with pytest.raises(C.ConfigError, match=f"dataset: kind '{kind}'.*task is '{task}'"):
             C.parse_config({"task": task, "dataset": {"kind": kind, "path": "data.bin"}})
     C.parse_config({"task": "text", "dataset": {"kind": "text-lines", "path": "corpus.txt"}})
+    for key in ("run_id", "out_dir"):
+        for value in (None, "", [1], 7):
+            with pytest.raises(C.ConfigError, match=f"{key} must be a non-empty string"):
+                C.parse_config({key: value})
     with pytest.raises(C.ConfigError, match="invalid JSON"):
         C.parse_config("{nope")
 
