@@ -339,11 +339,37 @@ def test_log_env_is_accepted(monkeypatch):
     assert main(["gradcheck", "--graphs", "2"]) == 0
 
 
-def test_module_entry_point_runs():
-    # the child process does not inherit pytest's pythonpath setting
+def _child_env() -> dict:
+    # a child process does not inherit pytest's pythonpath setting
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "wasecom.cli", "--version"],
-                          capture_output=True, text=True, timeout=60, env=env)
+                          capture_output=True, text=True, timeout=60, env=_child_env())
     assert proc.returncode == 0
     assert "wasecom 0.1.0" in proc.stdout
+
+
+# Imports every wasecom module in a fresh interpreter and prints the top-level
+# names it added to sys.modules that are not standard library.  Names loaded
+# before the import (the interpreter's own start-up modules) do not count, nor
+# does __mp_main__, the alias multiprocessing makes of __main__.
+_THIRD_PARTY_SCRIPT = """
+import importlib, pkgutil, sys
+before = set(sys.modules)
+import wasecom
+for info in pkgutil.iter_modules(wasecom.__path__, "wasecom."):
+    importlib.import_module(info.name)
+added = {name.split(".")[0] for name in set(sys.modules) - before}
+print(",".join(sorted(added - set(sys.stdlib_module_names) - {"__mp_main__"})))
+"""
+
+
+def test_the_runtime_imports_only_numpy():
+    proc = subprocess.run([sys.executable, "-c", _THIRD_PARTY_SCRIPT],
+                          capture_output=True, text=True, timeout=60, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "numpy,wasecom"
