@@ -233,7 +233,8 @@ def train_wasecom(cfg: TrainConfig, data: Dataset, dims: ModelDims | None = None
     Per minibatch: OUTER — perturb the received signal within radius mu and
     step the channel codec; INNER — perturb the source within radius rho, run
     the full pipeline through the just-updated channel codec, and step the
-    semantic codec; then a projected ascent step on the dual variables.
+    semantic codec; then a projected descent step on the dual variables,
+    lam <- max(0, lam - eta * (rho^2 - E[cost])), and gamma likewise with mu.
     """
     return _train_alternating(cfg, data, dims, bundle, checkpoint_dir, on_step, robust=True)
 
