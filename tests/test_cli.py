@@ -230,7 +230,7 @@ def test_a_flag_over_a_section_that_is_not_an_object_is_a_config_error(tmp_path,
 
 @pytest.mark.parametrize("argv", [["sweep", "--snr", ""], ["sweep", "--attack-eps", ""]])
 def test_an_empty_eval_grid_fails_before_any_work(tmp_path, capsys, argv):
-    # a sweep over no cells once trained, saved a checkpoint and wrote a header-only csv
+    # a grid of no cells is no work: fail before training, loading or writing anything
     junk = tmp_path / "junk.ckpt"
     junk.write_bytes(b"not a checkpoint at all")
     assert main(argv + ["--config", str(_cfg_file(tmp_path)), "--ckpt", str(junk)]) == 2
@@ -239,7 +239,7 @@ def test_an_empty_eval_grid_fails_before_any_work(tmp_path, capsys, argv):
 
 
 def test_an_empty_out_dir_is_a_config_error(tmp_path, capsys, monkeypatch):
-    # Path("") is the working directory, where a run would once have written
+    # Path("") is the working directory, so an empty out_dir must not reach it
     cfg = _cfg_file(tmp_path)
     monkeypatch.chdir(tmp_path)
     assert main(["train", "--config", str(cfg), "--out", ""]) == 2
