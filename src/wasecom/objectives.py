@@ -100,7 +100,8 @@ def clean_inner_loss(bundle, x, channel_cfg: ChannelConfig, rng) -> Tensor:
 
 def clean_outer_loss(bundle, x, channel_cfg: ChannelConfig, rng) -> Tensor:
     """Channel-codec distortion on a frozen semantic target."""
-    s0 = M.semantic_encode(bundle.frozen(), x).data
+    frozen = bundle.frozen()
+    s0 = M.semantic_encode(frozen, x).data
     u = M.channel_encode(bundle, Tensor(s0))
     z, _ = transmit(channel_cfg, u, rng)
     s_hat = M.channel_decode(bundle, z)
@@ -108,16 +109,17 @@ def clean_outer_loss(bundle, x, channel_cfg: ChannelConfig, rng) -> Tensor:
 
 
 # ----------------------------------------------------------- dual objectives
-def _penalized_objective(loss_at, bundle, live_center: Tensor, dual_var: float, radius: float,
-                         rob: RobustnessConfig, spec: PerturbSpec,
+def _penalized_objective(loss_at, bundle, frozen, live_center: Tensor, dual_var: float,
+                         radius: float, rob: RobustnessConfig, spec: PerturbSpec,
                          draw_rng: np.random.Generator) -> DualObjectiveValue:
     """penalty + E_batch[sup_v loss(v) - dual_var * ||v - center||^2] for one phase.
 
-    `loss_at(view, points, k)` is the phase's (k*B,) per-sample loss under a
-    bundle view at (k*B, D) points, k stacked copies of the batch.  The points
-    are the live (B, D) center plus constant offsets: K Gaussian draws on the
-    LSE path, whose scores are smoothed over their maximum, or the single
-    optimum that `penalized_sup_hard` finds on the frozen view (hard path).
+    `loss_at(view, points, k)` is the phase's (k*B,) per-sample loss under
+    `bundle` or its `frozen` view at (k*B, D) points, k stacked copies of the
+    batch.  The points are the live (B, D) center plus constant offsets: K
+    Gaussian draws on the LSE path, whose scores are smoothed over their
+    maximum, or the single optimum that `penalized_sup_hard` finds on the
+    frozen view (hard path).
     """
     center = live_center.data
     spec = dataclasses.replace(spec, radius=radius)
@@ -128,9 +130,7 @@ def _penalized_objective(loss_at, bundle, live_center: Tensor, dual_var: float, 
         if spec.method in (PerturbMethod.NONE, PerturbMethod.GAUSSIAN) or radius == 0:
             worst = center.copy()
         else:
-            frozen = bundle.frozen()
-            worst = penalized_sup_hard(lambda leaf: loss_at(frozen, leaf, 1), center, dual_var,
-                                       spec)
+            worst = penalized_sup_hard(lambda v: loss_at(frozen, v, 1), center, dual_var, spec)
         offsets = (worst - center)[None]
 
     k, b, d = offsets.shape
@@ -163,16 +163,17 @@ def inner_dual_loss(bundle, x, channel_cfg: ChannelConfig, rob: RobustnessConfig
     attack search and the final differentiable pass.  Text is perturbed in
     embedding space around the live lookup, so the table gets gradient.
     """
+    frozen = bundle.frozen()
     is_text = bundle.task is M.TaskKind.TEXT
     center = M.embed_tokens(bundle, x) if is_text else Tensor(np.asarray(x, dtype=float))
-    u0 = M.encode_signal(bundle.frozen(), Tensor(center.data))
+    u0 = M.encode_signal(frozen, Tensor(center.data))
     realization = realization_for(channel_cfg, u0.data, rng)
 
     def loss_at(view, points: Tensor, k: int) -> Tensor:
         out = M.pipeline(view, points, _tile(realization, k))
         return M.per_sample_reconstruction_loss(view, np.tile(x, (k, 1)), out)
 
-    return _penalized_objective(loss_at, bundle, center, rob.lam, rob.rho, rob, spec,
+    return _penalized_objective(loss_at, bundle, frozen, center, rob.lam, rob.rho, rob, spec,
                                 attack_rng or rng)
 
 
@@ -185,14 +186,15 @@ def outer_dual_loss(bundle, x, channel_cfg: ChannelConfig, rob: RobustnessConfig
     a ball of radius mu.  The offsets re-enter the graph on top of the
     transmitted signal so the channel encoder keeps its gradient path.
     """
-    s0 = M.semantic_encode(bundle.frozen(), x).data
+    frozen = bundle.frozen()
+    s0 = M.semantic_encode(frozen, x).data
     u = M.channel_encode(bundle, Tensor(s0))
     z, _ = transmit(channel_cfg, u, rng)
 
     def loss_at(view, points: Tensor, k: int) -> Tensor:
         return M.per_sample_channel_loss(Tensor(np.tile(s0, (k, 1))), M.channel_decode(view, points))
 
-    return _penalized_objective(loss_at, bundle, z, rob.gamma, rob.mu, rob, spec,
+    return _penalized_objective(loss_at, bundle, frozen, z, rob.gamma, rob.mu, rob, spec,
                                 attack_rng or rng)
 
 
