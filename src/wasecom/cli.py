@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
+import itertools
 import logging
 import os
 import subprocess
@@ -52,15 +54,20 @@ def _floats(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
-def _positive_int(text: str) -> int:
-    """An argparse type: a count of at least 1, so a check cannot pass on no work."""
+def _int_at_least(low: int, text: str) -> int:
+    """An integer of at least `low`: with `low` bound, an argparse type."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
     return value
+
+
+# a count of at least 1, so that a check cannot pass on no work, and a numpy seed
+_positive_int = functools.partial(_int_at_least, 1)
+_nonnegative_int = functools.partial(_int_at_least, 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,12 +110,12 @@ def build_parser() -> argparse.ArgumentParser:
     th.add_argument("--out", help="output directory")
     th.add_argument("--samples", type=_positive_int, default=100,
                     help="random in-ball distributions per instance")
-    th.add_argument("--seed", type=int, default=0)
+    th.add_argument("--seed", type=_nonnegative_int, default=0)
 
     gc = sub.add_parser("gradcheck", help="finite-difference autodiff audit")
     gc.add_argument("--out", help="output directory")
     gc.add_argument("--graphs", type=_positive_int, default=50)
-    gc.add_argument("--seed", type=int, default=0)
+    gc.add_argument("--seed", type=_nonnegative_int, default=0)
     return p
 
 
@@ -156,10 +163,9 @@ def _attack_for(eps: float, fraction: float) -> PerturbSpec | None:
     return PerturbSpec(PerturbMethod.FGSM, radius=eps, epsilon_inf=eps, sample_fraction=fraction)
 
 
-def _sweep_cell(inputs, snr: float, eps: float) -> str:
-    """The metrics row of one (snr, eps) evaluation cell of a checkpoint on a
-    dataset; `inputs` is (config, checkpoint bundle, dataset)."""
-    cfg, bundle, data = inputs
+def _sweep_cell(cfg: ExperimentConfig, bundle, data, snr: float, eps: float) -> str:
+    """The metrics row of one (snr, eps) evaluation cell of a bundle on a dataset;
+    module-level, so that a process pool can pickle a partial of it."""
     channel = dataclasses.replace(cfg.train.channel, snr_db=snr)
     attack = _attack_for(eps, cfg.eval_plan.attack_fraction)
     rec = evaluate(bundle, data, channel, attack=attack,
@@ -178,7 +184,7 @@ def _cmd_train(args) -> int:
     bundle, train_log = train(cfg.train, data, dims=dims, checkpoint_dir=ckpt_dir)
     save_checkpoint(bundle, out / "model.ckpt")
     train_log.write_csv(out / "train_log.csv")
-    row = _sweep_cell((cfg, bundle, data), cfg.train.channel.snr_db, 0.0)
+    row = _sweep_cell(cfg, bundle, data, cfg.train.channel.snr_db, 0.0)
     _write_metrics(out / "metrics.csv", [row])
     print(row)
     return 0
@@ -189,49 +195,31 @@ def _cmd_eval(args) -> int:
     if not args.ckpt:
         raise ConfigError("eval requires --ckpt")
     out = _prepare_out(cfg)
-    inputs = (cfg, load_checkpoint(args.ckpt), build_dataset(cfg))
+    bundle, data = load_checkpoint(args.ckpt), build_dataset(cfg)
     # --attack-eps always sets the plan's one radius (default 0, the clean cell)
-    row = _sweep_cell(inputs, cfg.train.channel.snr_db, *cfg.eval_plan.attack_eps)
+    row = _sweep_cell(cfg, bundle, data, cfg.train.channel.snr_db, *cfg.eval_plan.attack_eps)
     _write_metrics(out / "metrics.csv", [row])
     print(row)
     return 0
 
 
-# a pool worker's (config, checkpoint bundle, dataset), set once per worker by
-# _init_sweep_worker; the in-process sweep passes its own to _sweep_cell instead
-_worker_inputs = None
-
-
-def _init_sweep_worker(config_json: str, ckpt_path: str):
-    global _worker_inputs
-    cfg = parse_config(config_json)
-    _worker_inputs = (cfg, load_checkpoint(ckpt_path), build_dataset(cfg))
-
-
-def _worker_sweep_cell(cell) -> str:
-    """A pool worker's cell; module-level so process pools can pickle it."""
-    return _sweep_cell(_worker_inputs, *cell)
-
-
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
     out = _prepare_out(cfg)
+    data = build_dataset(cfg)
     if args.ckpt:
-        ckpt_path, data = args.ckpt, None
+        bundle = load_checkpoint(args.ckpt)
     else:
-        data = build_dataset(cfg)
         bundle, _ = train(cfg.train, data, dims=model_dims(cfg, data))
-        ckpt_path = str(out / "model.ckpt")
-        save_checkpoint(bundle, ckpt_path)
-    config_json = serialize_config(cfg)
-    cells = [(snr, eps) for snr in cfg.eval_plan.snr_db for eps in cfg.eval_plan.attack_eps]
+        save_checkpoint(bundle, out / "model.ckpt")
+    # every cell, in this process or in a worker, runs on the inputs built above
+    cell = functools.partial(_sweep_cell, cfg, bundle, data)
+    snrs, radii = zip(*itertools.product(cfg.eval_plan.snr_db, cfg.eval_plan.attack_eps))
     if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers, initializer=_init_sweep_worker,
-                                 initargs=(config_json, ckpt_path)) as pool:
-            rows = list(pool.map(_worker_sweep_cell, cells))
+        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+            rows = list(pool.map(cell, snrs, radii))
     else:
-        inputs = (cfg, load_checkpoint(ckpt_path), build_dataset(cfg) if data is None else data)
-        rows = [_sweep_cell(inputs, *cell) for cell in cells]
+        rows = list(map(cell, snrs, radii))
     _write_metrics(out / "sweep.csv", rows)
     print(f"{len(rows)} cells -> {out / 'sweep.csv'}")
     return 0

@@ -4,16 +4,20 @@ Every run is described by one JSON document.  Parsing is schema-checked —
 unknown keys are rejected with their section named — and serialization is
 canonical (sorted keys, two-space indent), so `serialize(parse(text))` is a
 fixed point.  The JSON key "lambda" maps to the `lam` field because `lambda`
-is reserved in Python.  Each section's keys are its dataclass's fields.
+is reserved in Python.  Each section's keys are its dataclass's fields, and
+each value must have the JSON type of its field's annotation.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_type_hints
 
 from .channel import ChannelConfig
 from .data import (Dataset, generate_synthetic_images, generate_synthetic_text,
@@ -122,12 +126,39 @@ _JSON_KEY = {"lam": "lambda"}
 _FIELD = {key: name for name, key in _JSON_KEY.items()}
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# the JSON type, as an error names it, and its test, for each field annotation
+_JSON_TYPES = {
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a number", _is_number),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    list: ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))),
+    type(None): ("null", lambda v: v is None),
+}
+
+
+def _json_types(hint) -> list:
+    """The (name, test) of each JSON type a field annotated `hint` takes."""
+    if isinstance(hint, UnionType):  # X | None
+        return [t for arg in get_args(hint) for t in _json_types(arg)]
+    return [_JSON_TYPES[str if issubclass(hint, Enum) else hint]]  # enums by value
+
+
 def _checked(section: dict, name: str) -> dict:
     if not isinstance(section, dict):
         raise ConfigError(f"{name} must be a JSON object")
     unknown = set(section) - _SECTION_KEYS[name]
     if unknown:
         raise ConfigError(f"unknown key(s) in {name}: {sorted(unknown)}")
+    for key, value in section.items():
+        types = _key_types(name).get(key)
+        if types and not any(test(value) for _, test in types):
+            expected = " or ".join(type_name for type_name, _ in types)
+            raise ConfigError(f"{name}: {key} must be {expected}, got {value!r}")
     return section
 
 
@@ -199,7 +230,8 @@ def to_canonical_dict(cfg: ExperimentConfig) -> dict:
         "dataset": _section(cfg.dataset),
         "model": _section(cfg.model),
         "train": _section(train, skip={"seed", "mode", *_TRAIN_SECTIONS}),
-        **{name: _section(getattr(train, name)) for name in _TRAIN_SECTIONS},
+        **{name: _section(getattr(train, name), skip={"sample_fraction"})
+           for name in _TRAIN_SECTIONS},
         "eval": _section(cfg.eval_plan),
     }
 
@@ -209,6 +241,21 @@ def to_canonical_dict(cfg: ExperimentConfig) -> dict:
 _DEFAULT_CANONICAL = to_canonical_dict(ExperimentConfig())
 _SECTION_KEYS = {"top level": set(_DEFAULT_CANONICAL)} | {
     name: set(section) for name, section in _DEFAULT_CANONICAL.items() if isinstance(section, dict)}
+
+
+_SECTION_CLASSES = {"top level": (TrainConfig, ExperimentConfig), "dataset": (DatasetSpec,),
+                    "model": (ModelSpec,), "train": (TrainConfig,), "eval": (EvalPlan,),
+                    **{name: (cls,) for name, cls in _TRAIN_SECTIONS.items()}}
+
+
+@functools.cache  # evaluating the annotations takes about 1 ms; no import should pay it
+def _key_types(name: str) -> dict:
+    """The JSON types of each key of a section that holds a value, from its
+    field's annotation; a key that holds a section is checked as a section."""
+    hints = {_JSON_KEY.get(k, k): hint
+             for cls in _SECTION_CLASSES[name] for k, hint in get_type_hints(cls).items()}
+    return {key: _json_types(hint) for key, hint in hints.items()
+            if key in _SECTION_KEYS[name] and key not in _SECTION_KEYS}
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:

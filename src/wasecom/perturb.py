@@ -30,7 +30,7 @@ class PerturbSpec:
     epsilon_inf: float = 0.01    # FGSM step in the max norm
     steps: int = 7
     sample_count: int = 8        # Gaussian smoothing draws
-    sample_fraction: float = 1.0  # share of batch rows that get attacked
+    sample_fraction: float = 1.0  # share of eval rows attacked; training attacks all
 
     def __post_init__(self):
         self.method = PerturbMethod(self.method)

@@ -279,13 +279,12 @@ def _attack_rows(frozen: ModelBundle, samples, centers: np.ndarray,
     return runner(loss_fn, centers[rows], attack)
 
 
-def evaluate(bundle: ModelBundle, data, channel_cfg: ChannelConfig,
+def evaluate(bundle: ModelBundle, data: Dataset, channel_cfg: ChannelConfig,
              attack: PerturbSpec | None = None, seed: int = 0,
              batch_size: int = 64) -> MetricsRecord:
-    """Run the frozen pipeline over an evaluation set and aggregate metrics.
+    """Run the frozen pipeline over a dataset's eval split and aggregate metrics.
 
-    Accepts a Dataset (its eval split is used) or a plain sample array.  The
-    whole split is encoded once, attacked once and decoded once, so memory
+    The whole split is encoded once, attacked once and decoded once, so memory
     grows with the split.  `batch_size` sets the granularity of everything
     drawn or summed: each batch of rows gets its own channel realization, from
     its own clean signal power, and its own seeded choice of attacked rows,
@@ -297,23 +296,16 @@ def evaluate(bundle: ModelBundle, data, channel_cfg: ChannelConfig,
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
-    samples = data.eval if isinstance(data, Dataset) else np.asarray(data)
-    if len(samples) == 0:
-        raise ValueError("empty evaluation set")
-    task = bundle.task
-    if isinstance(data, Dataset) and data.task is not task:
+    task, samples = bundle.task, data.eval  # Dataset has checked the split's shape and ids
+    if data.task is not task:
         raise ValueError(f"dataset task {data.task.value!r} differs from the model's {task.value!r}")
     width, dim_name = ((bundle.dims.seq_len, "seq_len") if task is TaskKind.TEXT
                        else (bundle.dims.input_dim, "input_dim"))
-    if samples.ndim != 2 or samples.shape[1] != width:
+    if samples.shape[1] != width:
         raise ValueError(f"samples have shape {samples.shape}, but the model's {dim_name} is {width}")
-    if task is TaskKind.TEXT:
-        if not np.issubdtype(samples.dtype, np.integer):
-            raise ValueError(f"token ids must be integers, got dtype {samples.dtype}")
-        low, high = samples.min(), samples.max()
-        if low < 0 or high >= bundle.dims.vocab_size:
-            raise ValueError(f"token id {low if low < 0 else high} is outside the model's "
-                             f"vocab_size {bundle.dims.vocab_size}")
+    if task is TaskKind.TEXT and samples.max() >= bundle.dims.vocab_size:
+        raise ValueError(f"token id {samples.max()} is outside the model's "
+                         f"vocab_size {bundle.dims.vocab_size}")
     frozen = bundle.frozen()
     n = len(samples)
     starts = range(0, n, batch_size)

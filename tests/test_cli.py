@@ -101,24 +101,32 @@ def test_sweep_flag_overrides_and_workers_match_serial(tmp_path):
     rows2 = (d2 / "sweep.csv").read_text()
     assert rows1 == rows2
     assert len(rows1.splitlines()) == 3
+    # without --ckpt the sweep trains first, and its cells run on the trained bundle
+    t1, t2 = tmp_path / "t1", tmp_path / "t2"
+    argv = ["sweep", "--config", str(cfg), "--snr", "0,10", "--attack-eps", "0,0.1"]
+    assert main(argv + ["--out", str(t1)]) == 0
+    assert main(argv + ["--out", str(t2), "--workers", "2"]) == 0
+    for name in ("sweep.csv", "model.ckpt"):
+        assert (t1 / name).read_bytes() == (t2 / name).read_bytes(), name
+    assert len((t1 / "sweep.csv").read_text().splitlines()) == 1 + 2 * 2
 
 
-def test_serial_sweep_builds_its_dataset_once(tmp_path, monkeypatch):
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_serial_sweep_builds_its_dataset_once(tmp_path, monkeypatch, workers):
+    # a pool's workers get the parent's dataset and bundle; none builds or loads its own
     cfg = _cfg_file(tmp_path)
     assert main(["train", "--config", str(cfg)]) == 0
     calls = []
-
-    def counting_build(config):
-        calls.append(config)
-        return real_build(config)
-
-    real_build = cli.build_dataset
-    monkeypatch.setattr(cli, "build_dataset", counting_build)
+    for name in ("build_dataset", "load_checkpoint"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name,
+                            lambda *args, name=name, real=real: calls.append(name) or real(*args))
     argv = ["sweep", "--config", str(cfg), "--ckpt", str(tmp_path / "out" / "model.ckpt"),
-            "--snr", "0,10", "--attack-eps", "0,0.1", "--out", str(tmp_path / "s")]
+            "--snr", "0,10", "--attack-eps", "0,0.1", "--out", str(tmp_path / "s"),
+            "--workers", workers]
     assert main(argv) == 0
     assert len((tmp_path / "s" / "sweep.csv").read_text().splitlines()) == 1 + 2 * 2
-    assert len(calls) == 1   # not once per cell
+    assert sorted(calls) == ["build_dataset", "load_checkpoint"]   # not once per cell or worker
 
 
 def test_sweep_attack_radii_above_the_signed_step_still_bind(tmp_path):
@@ -204,10 +212,30 @@ def test_bad_configs_exit_2(tmp_path, capsys):
                                            ("dataset", {"kind": "text-lines",
                                                         "path": "corpus.txt"}),
                                            ("eval", {"snr_db": []}),
-                                           ("eval", {"attack_eps": []})])
+                                           ("eval", {"attack_eps": []}),
+                                           ("robustness", {"lambda_learnable": "false"}),
+                                           ("train", {"epochs": 2.5}),
+                                           ("train", {"batch_size": 8.0}),
+                                           ("train", {"checkpoint_every": 1.0}),
+                                           ("perturb_inner", {"steps": 2.0}),
+                                           ("perturb_outer", {"sample_count": 4.0}),
+                                           ("dataset", {"n": 16.0}),
+                                           ("model", {"hidden_dim": 8.0}),
+                                           ("eval", {"batch_size": 32.0}),
+                                           ("channel", {"snr_db": True}),
+                                           ("eval", {"attack_eps": [True]}),
+                                           ("eval", {"snr_db": 5})])
 def test_bad_values_are_config_errors(tmp_path, capsys, section, value):
     assert main(["train", "--config", str(_cfg_file(tmp_path, **{section: value}))]) == 2
     assert f"config error: {section}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [{"seed": 2.0}, {"seed": True}, {"mode": 1},
+                                   {"run_id": 7}])
+def test_bad_top_level_values_are_config_errors(tmp_path, capsys, value):
+    assert main(["train", "--config", str(_cfg_file(tmp_path, **value))]) == 2
+    assert f"config error: top level: {next(iter(value))}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -325,7 +353,9 @@ def test_gradcheck_passes_and_writes_csv(tmp_path, capsys):
                                   ["gradcheck", "--graphs", "0"],
                                   ["gradcheck", "--graphs", "two"],
                                   ["sweep", "--workers", "0"],
-                                  ["sweep", "--workers", "-2"]])
+                                  ["sweep", "--workers", "-2"],
+                                  ["check-theory", "--seed", "-1"],
+                                  ["gradcheck", "--seed", "-1"]])
 def test_checks_without_work_are_usage_errors(argv, capsys):
     # a check that samples no plan or builds no graph must not report a pass
     assert main(argv) == 2

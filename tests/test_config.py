@@ -84,7 +84,6 @@ DEFAULT_CANONICAL = """\
     "method": "pgd",
     "radius": 0.1,
     "sample_count": 8,
-    "sample_fraction": 1.0,
     "steps": 5
   },
   "perturb_outer": {
@@ -92,7 +91,6 @@ DEFAULT_CANONICAL = """\
     "method": "fgsm",
     "radius": 0.1,
     "sample_count": 8,
-    "sample_fraction": 1.0,
     "steps": 7
   },
   "robustness": {
@@ -157,7 +155,6 @@ README_CANONICAL = """\
     "method": "pgd",
     "radius": 0.5,
     "sample_count": 8,
-    "sample_fraction": 1.0,
     "steps": 3
   },
   "perturb_outer": {
@@ -165,7 +162,6 @@ README_CANONICAL = """\
     "method": "fgsm",
     "radius": 0.1,
     "sample_count": 8,
-    "sample_fraction": 1.0,
     "steps": 7
   },
   "robustness": {
@@ -218,7 +214,9 @@ def test_unknown_keys_rejected_with_section():
     with pytest.raises(C.ConfigError, match="perturb_inner"):
         C.parse_config('{"perturb_inner": {"radius": 0.1, "extra": 2}}')
     for section, key in (("train", "sub_steps"), ("train", "optimizer"),
-                         ("perturb_inner", "step_size"), ("perturb_outer", "step_size")):
+                         ("perturb_inner", "step_size"), ("perturb_outer", "step_size"),
+                         ("perturb_inner", "sample_fraction"),
+                         ("perturb_outer", "sample_fraction")):
         with pytest.raises(C.ConfigError, match=f"unknown key.*{section}.*{key}"):
             C.parse_config({section: {key: 1}})
 
@@ -230,9 +228,11 @@ def test_invalid_values_become_config_errors():
         C.parse_config('{"robustness": {"rho": -1}}')
     with pytest.raises(C.ConfigError, match="train"):
         C.parse_config('{"train": {"batch_size": 0}}')
-    for seed in ("abc", None, 1.7, 2.0, -3, True):
-        with pytest.raises(C.ConfigError, match="train: seed must be a nonnegative integer"):
+    for seed in ("abc", None, 1.7, 2.0, True):  # not a JSON integer
+        with pytest.raises(C.ConfigError, match="top level: seed must be an integer"):
             C.parse_config({"seed": seed})
+    with pytest.raises(C.ConfigError, match="train: seed must be a nonnegative integer"):
+        C.parse_config({"seed": -3})
     with pytest.raises(C.ConfigError, match="robustness.*mu"):
         C.parse_config('{"robustness": {"mu": NaN}}')
     for key in ("semantic_dim", "signal_dim", "hidden_dim", "embed_dim"):
@@ -276,11 +276,40 @@ def test_invalid_values_become_config_errors():
             C.parse_config({"task": task, "dataset": {"kind": kind, "path": "data.bin"}})
     C.parse_config({"task": "text", "dataset": {"kind": "text-lines", "path": "corpus.txt"}})
     for key in ("run_id", "out_dir"):
-        for value in (None, "", [1], 7):
-            with pytest.raises(C.ConfigError, match=f"{key} must be a non-empty string"):
+        for value in (None, [1], 7):
+            with pytest.raises(C.ConfigError, match=f"top level: {key} must be a string"):
                 C.parse_config({key: value})
+        with pytest.raises(C.ConfigError, match=f"{key} must be a non-empty string"):
+            C.parse_config({key: ""})
     with pytest.raises(C.ConfigError, match="invalid JSON"):
         C.parse_config("{nope")
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"robustness": {"lambda_learnable": "false"}},
+     "robustness: lambda_learnable must be true or false, got 'false'"),
+    ({"robustness": {"use_lse": 0}}, "robustness: use_lse must be true or false"),
+    ({"train": {"epochs": 2.5}}, "train: epochs must be an integer, got 2.5"),
+    ({"train": {"lr": True}}, "train: lr must be a number, got True"),
+    ({"perturb_inner": {"steps": 3.0}}, "perturb_inner: steps must be an integer"),
+    ({"perturb_outer": {"method": 2}}, "perturb_outer: method must be a string"),
+    ({"model": {"hidden_dim": "32"}}, "model: hidden_dim must be an integer or null"),
+    ({"dataset": {"path": 7}}, "dataset: path must be a string or null"),
+    ({"channel": {"snr_db": "10"}}, "channel: snr_db must be a number"),
+    ({"eval": {"attack_eps": [True]}}, r"eval: attack_eps must be a list of numbers, got \[True\]"),
+    ({"eval": {"snr_db": 5}}, "eval: snr_db must be a list of numbers, got 5"),
+    ({"mode": 1}, "top level: mode must be a string"),
+    ({"task": None}, "top level: task must be a string")])
+def test_values_must_have_their_fields_json_type(doc, message):
+    # "false" once parsed as true, and 2.5 epochs failed only inside the training loop
+    with pytest.raises(C.ConfigError, match=message):
+        C.parse_config(doc)
+
+
+def test_number_fields_take_ints_and_nullable_fields_take_null():
+    cfg = C.parse_config({"train": {"lr": 1}, "eval": {"snr_db": [0, 2.5]},
+                          "model": {"hidden_dim": None}, "dataset": {"path": None}})
+    assert (cfg.train.lr, cfg.eval_plan.snr_db, cfg.model.hidden_dim) == (1, [0, 2.5], None)
 
 
 def test_round_trip_is_canonical_fixed_point():

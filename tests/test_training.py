@@ -372,8 +372,9 @@ def test_evaluate_deterministic_and_rejects_empty():
     r1 = evaluate(bundle, data, cfg, seed=9)
     r2 = evaluate(bundle, data, cfg, seed=9)
     assert r1 == r2
-    with pytest.raises(ValueError, match="empty"):
-        evaluate(bundle, np.zeros((0, data.feature_dim)), cfg)
+    # evaluate takes a Dataset, and a Dataset cannot hold an empty split
+    with pytest.raises(ValueError, match="eval split is empty"):
+        dataclasses.replace(data, eval=np.zeros((0, data.feature_dim)))
 
 
 @pytest.mark.parametrize("batch_size", [0, -3])
@@ -397,17 +398,18 @@ def test_evaluate_rejects_data_the_model_cannot_take():
         evaluate(bundle, _image_data(n=12, side=4), channel)
     text_bundle = ModelBundle(text.task, _dims_for(text), seed=5)
     with pytest.raises(ValueError, match=r"shape \(3, 5\), but the model's seq_len is 6"):
-        evaluate(text_bundle, text.eval[:, :5], channel)
+        evaluate(text_bundle, dataclasses.replace(text, eval=text.eval[:, :5]), channel)
     wide = generate_synthetic_text(40, vocab_size=32, max_len=6, seed=0)
     with pytest.raises(ValueError, match=r"token id \d+ is outside the model's vocab_size 16"):
         evaluate(text_bundle, wide, channel)
-    # -1 used to read the last vocabulary token, through numpy's negative indexing
+    # -1 used to read the last vocabulary token, through numpy's negative indexing;
+    # evaluate takes a Dataset, which rejects it and float ids
     negative = text.eval.copy()
     negative[0, 3] = -1
-    with pytest.raises(ValueError, match=r"token id -1 is outside the model's vocab_size 16"):
-        evaluate(text_bundle, negative, channel)
-    with pytest.raises(ValueError, match="token ids must be integers, got dtype float64"):
-        evaluate(text_bundle, text.eval.astype(float), channel)
+    with pytest.raises(ValueError, match=r"token ids must lie in \[0, vocab_size\)"):
+        dataclasses.replace(text, eval=negative)
+    with pytest.raises(ValueError, match="token ids must be integers"):
+        dataclasses.replace(text, eval=text.eval.astype(float))
 
 
 @pytest.mark.parametrize("attack", [
