@@ -216,8 +216,9 @@ def _cmd_sweep(args) -> int:
     cell = functools.partial(_sweep_cell, cfg, bundle, data)
     snrs, radii = zip(*itertools.product(cfg.eval_plan.snr_db, cfg.eval_plan.attack_eps))
     if args.workers > 1:
+        # one chunk of cells per worker, so the inputs are pickled once per worker, not per cell
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(cell, snrs, radii))
+            rows = list(pool.map(cell, snrs, radii, chunksize=-(-len(snrs) // args.workers)))
     else:
         rows = list(map(cell, snrs, radii))
     _write_metrics(out / "sweep.csv", rows)

@@ -17,7 +17,7 @@ from .models import TaskKind
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3 * 32 * 32 pixel bytes
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
     task: TaskKind
     train: np.ndarray

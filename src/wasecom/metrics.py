@@ -60,6 +60,8 @@ def _ssim_per_image(x, y, max_val: float, window: int) -> np.ndarray:
     if x.ndim == 2:
         x, y = x[None], y[None]
     n, h, w = x.shape
+    if n == 0:
+        raise ValueError("ssim: empty batch")
     if window > min(h, w):
         raise ValueError(f"window {window} exceeds image side {min(h, w)}")
     c1 = (0.01 * max_val) ** 2
@@ -94,6 +96,8 @@ def bleu(candidate, references, max_n: int = 4, smooth: float = 1e-9) -> float:
         cand, refs = np.asarray(candidate), np.asarray(references)
         if refs.shape != cand.shape:
             raise ValueError(f"bleu: shape mismatch {cand.shape} vs {refs.shape}")
+        if cand.shape[0] == 0:
+            raise ValueError("bleu: empty batch")
         if cand.shape[1] == 0:
             raise ValueError("bleu: empty candidate or reference")
         return float(_sentence_bleu(cand, refs[:, None, :], cand.shape[1], max_n, smooth).mean())
@@ -117,25 +121,33 @@ def _sentence_bleu(cand: np.ndarray, refs: np.ndarray, r: int, max_n: int,
 
     `r` is the effective reference length.  Each distinct candidate n-gram is
     counted once, at its first occurrence, and clipped by its largest count in
-    any one reference.
+    any one reference.  The rows are the last, contiguous axis and every order
+    sits in one stack, so each count and reduction runs once over N-long rows;
+    positions an order is too short to reach stay False and count nothing.
     """
-    c = cand.shape[1]
-    self_eq = cand[:, :, None] == cand[:, None, :]              # (N, c, c) token matches
-    ref_eq = cand[:, :, None, None] == refs[:, None, :, :]      # (N, c, R, Lr)
-    same, in_ref = self_eq, ref_eq
-    log_precisions = []
-    for n in range(1, min(max_n, c) + 1):
-        if n > 1:
-            # two n-grams match where their (n-1)-gram prefixes and last tokens do
-            same = same[:, :-1, :-1] & self_eq[:, n - 1:, n - 1:]
-            in_ref = in_ref[:, :-1, :, :-1] & ref_eq[:, n - 1:, :, n - 1:]
-        count = same.sum(axis=2)
-        first = ~np.tril(same, k=-1).any(axis=2)
-        best_ref = in_ref.sum(axis=3).max(axis=2)
-        clipped = np.where(first, np.minimum(count, best_ref), 0).sum(axis=1)
-        total = c - n + 1
-        log_precisions.append(np.log(np.where(clipped > 0, clipped, smooth)) - np.log(total))
-    geo = np.exp(np.mean(np.stack(log_precisions, axis=1), axis=1))
+    c, lr = cand.shape[1], refs.shape[2]
+    orders = min(max_n, c)
+    cand_t = np.ascontiguousarray(cand.T)                                 # (c, N)
+    # a transposed view would give ref_eq the layout of refs, with Lr innermost
+    refs_t = np.ascontiguousarray(refs.transpose(1, 2, 0))                # (R, Lr, N)
+    self_eq = cand_t[:, None, :] == cand_t[None, :, :]                    # (c, c, N) token matches
+    ref_eq = cand_t[:, None, None, :] == refs_t[None]                     # (c, R, Lr, N)
+    same = np.zeros((orders,) + self_eq.shape, dtype=bool)
+    in_ref = np.zeros((orders,) + ref_eq.shape, dtype=bool)
+    same[0], in_ref[0] = self_eq, ref_eq
+    for n in range(2, orders + 1):
+        # two n-grams match where their (n-1)-gram prefixes and last tokens do
+        k, m = c - n + 1, max(lr - n + 1, 0)
+        np.logical_and(same[n - 2, :k, :k], self_eq[n - 1:, n - 1:], out=same[n - 1, :k, :k])
+        np.logical_and(in_ref[n - 2, :k, :, :m], ref_eq[n - 1:, :, n - 1:],
+                       out=in_ref[n - 1, :k, :, :m])
+    count = same.sum(axis=2)                                              # (orders, c, N)
+    seen_before = (same & np.tri(c, k=-1, dtype=bool)[:, :, None]).any(axis=2)
+    best_ref = in_ref.sum(axis=3).max(axis=2)
+    clipped = np.where(seen_before, 0, np.minimum(count, best_ref)).sum(axis=1)  # (orders, N)
+    total = c - np.arange(orders)[:, None]                                # c - n + 1
+    log_precisions = np.log(np.where(clipped > 0, clipped, smooth)) - np.log(total)
+    geo = np.exp(np.mean(log_precisions, axis=0))
     brevity = 1.0 if c > r else np.exp(1.0 - r / c)
     return brevity * geo
 

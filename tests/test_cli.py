@@ -129,6 +129,38 @@ def test_serial_sweep_builds_its_dataset_once(tmp_path, monkeypatch, workers):
     assert sorted(calls) == ["build_dataset", "load_checkpoint"]   # not once per cell or worker
 
 
+def test_sweep_pool_gets_one_chunk_of_cells_per_worker(tmp_path, monkeypatch):
+    # the pool pickles the cell's inputs once per chunk, so a chunk per worker
+    # sends them once per worker; the rows keep the serial order
+    cfg = _cfg_file(tmp_path)
+    assert main(["train", "--config", str(cfg)]) == 0
+    argv = ["sweep", "--config", str(cfg), "--ckpt", str(tmp_path / "out" / "model.ckpt"),
+            "--snr", "0,10,20", "--attack-eps", "0,0.1"]
+    assert main(argv + ["--out", str(tmp_path / "serial")]) == 0
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            self.max_workers, self.chunksizes = max_workers, []
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            self.chunksizes.append(chunksize)
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    assert main(argv + ["--out", str(tmp_path / "pool"), "--workers", "4"]) == 0
+    assert [(p.max_workers, p.chunksizes) for p in pools] == [(4, [2])]   # 6 cells, 4 workers
+    assert ((tmp_path / "pool" / "sweep.csv").read_bytes()
+            == (tmp_path / "serial" / "sweep.csv").read_bytes())
+
+
 def test_sweep_attack_radii_above_the_signed_step_still_bind(tmp_path):
     # with a fixed FGSM step of 0.01 per pixel (0.06 in L2 here), every radius
     # above 0.06 gave the same cell

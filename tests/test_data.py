@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -201,3 +202,12 @@ def test_dataset_invariants_enforced():
     with pytest.raises(ValueError, match="vocab_size"):
         D.Dataset(TaskKind.TEXT, np.full((2, 4), 9, dtype=np.int64),
                   np.zeros((1, 4), dtype=np.int64), vocab_size=8)
+
+
+@pytest.mark.parametrize("field", ["train", "eval"])
+def test_dataset_splits_cannot_be_reassigned(field):
+    # an assigned split would skip the checks above: id -1 reads the last embedding row
+    ds = D.generate_synthetic_text(64, vocab_size=16, max_len=8, seed=0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(ds, field, np.full_like(getattr(ds, field), -1))
+    assert getattr(ds, field).min() >= 0

@@ -157,10 +157,26 @@ def test_batched_bleu_rows_match_single_sentence_form_bitwise(vocab, length):
     expected = [_reference_bleu(list(map(int, c)), [list(map(int, r))])
                 for c, r in zip(cand, refs)]
     singles = [MX.bleu(list(map(int, c)), [list(map(int, r))]) for c, r in zip(cand, refs)]
-    rows = MX._sentence_bleu(cand, refs[:, None, :], length, 4, 1e-9)
     assert singles == expected
-    assert np.array_equal(rows, expected)
-    assert MX.bleu(cand, refs) == float(np.mean(expected))
+    for n in (1, 7, 64):
+        rows = MX._sentence_bleu(cand[:n], refs[:n, None, :], length, 4, 1e-9)
+        assert np.array_equal(rows, expected[:n])
+        assert MX.bleu(cand[:n], refs[:n]) == float(np.mean(expected[:n]))
+
+
+@pytest.mark.parametrize("vocab", [2, 32])
+@pytest.mark.parametrize("length", [1, 3, 8, 12])
+def test_bleu_rows_do_not_depend_on_the_call_size(vocab, length):
+    # rows are the inner axis of every count, so a row's score must not move
+    # with how many rows share its call: evaluate sums per-batch means
+    rng = np.random.default_rng([vocab, length, 130])
+    cand = rng.integers(vocab, size=(130, length))
+    refs = rng.integers(vocab, size=(130, length))
+    refs[::5] = cand[::5]
+    whole = MX._sentence_bleu(cand, refs[:, None, :], length, 4, 1e-9)
+    for lo, hi in ((0, 64), (64, 128), (128, 130)):
+        part = MX._sentence_bleu(cand[lo:hi], refs[lo:hi, None, :], length, 4, 1e-9)
+        assert whole[lo:hi].tobytes() == part.tobytes()
 
 
 def test_bleu_multi_reference_and_string_tokens_match_reference():
@@ -179,6 +195,14 @@ def test_batched_bleu_rejects_mismatched_or_empty_rows():
         MX.bleu(np.zeros((2, 3), dtype=int), np.zeros((2, 4), dtype=int))
     with pytest.raises(ValueError, match="empty"):
         MX.bleu(np.zeros((2, 0), dtype=int), np.zeros((2, 0), dtype=int))
+
+
+def test_zero_row_batches_are_named_errors():
+    # bleu used to return nan with a RuntimeWarning, ssim to fail inside a reshape
+    with pytest.raises(ValueError, match="bleu: empty batch"):
+        MX.bleu(np.zeros((0, 8), dtype=int), np.zeros((0, 8), dtype=int))
+    with pytest.raises(ValueError, match="ssim: empty batch"):
+        MX.ssim(np.zeros((0, 8, 8)), np.zeros((0, 8, 8)))
 
 
 def _reference_ssim(x, y, window, max_val=1.0):
