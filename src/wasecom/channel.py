@@ -34,6 +34,8 @@ class ChannelConfig:
         self.kind = ChannelKind(self.kind)
         if not np.isfinite(self.snr_db):
             raise ValueError(f"snr_db must be finite, got {self.snr_db}")
+        if abs(self.snr_db) > SNR_CAP_DB:  # far beyond, 10^(snr_db/10) overflows or underflows to 0
+            raise ValueError(f"snr_db must lie in [-{SNR_CAP_DB:g}, {SNR_CAP_DB:g}], got {self.snr_db}")
 
 
 @dataclass

@@ -1,8 +1,8 @@
 """Command-line surface: train, eval, sweep, check-theory, gradcheck.
 
-Every run writes a canonical config snapshot and a version string into its
-output directory and never writes anywhere else.  Exit codes: 0 success,
-1 runtime failure, 2 invalid configuration or usage.
+Commands write only into their output directory, and train, eval and sweep
+put a canonical config snapshot and a version string there.  Exit codes: 0
+success, 1 runtime failure, 2 invalid configuration or usage.
 """
 from __future__ import annotations
 
@@ -151,15 +151,14 @@ def _prepare_out(cfg: ExperimentConfig) -> Path:
     return out
 
 
-def _write_metrics(path: Path, rows: list[str]):
-    path.write_text("\n".join([MetricsRecord.CSV_HEADER, *rows]) + "\n")
+def _write_csv(path: Path, header: str, rows: list[str]):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join([header, *rows]) + "\n")
 
 
-def _attack_for(eps: float, fraction: float) -> PerturbSpec | None:
+def _attack_for(eps: float, fraction: float) -> PerturbSpec:
     """FGSM at radius eps: its signed step of eps per coordinate is at least eps
     in L2, so the projection puts every row with a nonzero gradient on the sphere."""
-    if not eps:  # 0: the clean cell
-        return None
     return PerturbSpec(PerturbMethod.FGSM, radius=eps, epsilon_inf=eps, sample_fraction=fraction)
 
 
@@ -173,45 +172,45 @@ def _sweep_cell(cfg: ExperimentConfig, bundle, data, snr: float, eps: float) -> 
     return rec.csv_row()
 
 
-# -------------------------------------------------------------- subcommands
-def _cmd_train(args) -> int:
+def _run_inputs(args):
+    """The config, the prepared output directory, the dataset and the bundle:
+    loaded from --ckpt, or else trained and saved with its step log (and step
+    checkpoints, which the trainer writes only when checkpoint_every is set)."""
     cfg = _load_config(args)
     out = _prepare_out(cfg)
     data = build_dataset(cfg)
-    dims = model_dims(cfg, data)
+    ckpt = getattr(args, "ckpt", None)  # train has no --ckpt
+    if ckpt:
+        return cfg, out, data, load_checkpoint(ckpt)
     log.info("training mode=%s on %d samples", cfg.train.mode.value, len(data.train))
-    ckpt_dir = out if cfg.train.checkpoint_every > 0 else None
-    bundle, train_log = train(cfg.train, data, dims=dims, checkpoint_dir=ckpt_dir)
+    bundle, train_log = train(cfg.train, data, dims=model_dims(cfg, data), checkpoint_dir=out)
     save_checkpoint(bundle, out / "model.ckpt")
     train_log.write_csv(out / "train_log.csv")
+    return cfg, out, data, bundle
+
+
+# -------------------------------------------------------------- subcommands
+def _cmd_train(args) -> int:
+    cfg, out, data, bundle = _run_inputs(args)
     row = _sweep_cell(cfg, bundle, data, cfg.train.channel.snr_db, 0.0)
-    _write_metrics(out / "metrics.csv", [row])
+    _write_csv(out / "metrics.csv", MetricsRecord.CSV_HEADER, [row])
     print(row)
     return 0
 
 
 def _cmd_eval(args) -> int:
-    cfg = _load_config(args)
     if not args.ckpt:
         raise ConfigError("eval requires --ckpt")
-    out = _prepare_out(cfg)
-    bundle, data = load_checkpoint(args.ckpt), build_dataset(cfg)
+    cfg, out, data, bundle = _run_inputs(args)
     # --attack-eps always sets the plan's one radius (default 0, the clean cell)
     row = _sweep_cell(cfg, bundle, data, cfg.train.channel.snr_db, *cfg.eval_plan.attack_eps)
-    _write_metrics(out / "metrics.csv", [row])
+    _write_csv(out / "metrics.csv", MetricsRecord.CSV_HEADER, [row])
     print(row)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load_config(args)
-    out = _prepare_out(cfg)
-    data = build_dataset(cfg)
-    if args.ckpt:
-        bundle = load_checkpoint(args.ckpt)
-    else:
-        bundle, _ = train(cfg.train, data, dims=model_dims(cfg, data))
-        save_checkpoint(bundle, out / "model.ckpt")
+    cfg, out, data, bundle = _run_inputs(args)
     # every cell, in this process or in a worker, runs on the inputs built above
     cell = functools.partial(_sweep_cell, cfg, bundle, data)
     snrs, radii = zip(*itertools.product(cfg.eval_plan.snr_db, cfg.eval_plan.attack_eps))
@@ -221,7 +220,7 @@ def _cmd_sweep(args) -> int:
             rows = list(pool.map(cell, snrs, radii, chunksize=-(-len(snrs) // args.workers)))
     else:
         rows = list(map(cell, snrs, radii))
-    _write_metrics(out / "sweep.csv", rows)
+    _write_csv(out / "sweep.csv", MetricsRecord.CSV_HEADER, rows)
     print(f"{len(rows)} cells -> {out / 'sweep.csv'}")
     return 0
 
@@ -238,11 +237,8 @@ def _cmd_check_theory(args) -> int:
     for rep in reports:
         print(rep.row())
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        header = "instance,primal,dual,gap,rel_gap,assertions"
-        (out / "theory.csv").write_text(
-            "\n".join([header] + [r.row() for r in reports]) + "\n")
+        _write_csv(Path(args.out) / "theory.csv", "instance,primal,dual,gap,rel_gap,assertions",
+                   [r.row() for r in reports])
     failures = [r for r in reports if not r.passed]
     if failures:
         print(f"{len(failures)} of {len(reports)} checks FAILED", file=sys.stderr)
@@ -258,12 +254,9 @@ def _cmd_gradcheck(args) -> int:
         log.info("%s: rel=%.3g abs=%.3g %s", r.name, r.max_rel_err, r.max_abs_err,
                  "ok" if r.ok else "FAIL")
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        rows = ["name,n_params,max_abs_err,max_rel_err,ok"] + [
-            f"{r.name},{r.n_params},{r.max_abs_err!r},{r.max_rel_err!r},{r.ok}"
-            for r in results]
-        (out / "gradcheck.csv").write_text("\n".join(rows) + "\n")
+        _write_csv(Path(args.out) / "gradcheck.csv", "name,n_params,max_abs_err,max_rel_err,ok",
+                   [f"{r.name},{r.n_params},{r.max_abs_err!r},{r.max_rel_err!r},{r.ok}"
+                    for r in results])
     if bad:
         for r in bad:
             print(f"FAIL {r.name}: rel={r.max_rel_err:.3g} abs={r.max_abs_err:.3g}",

@@ -96,6 +96,8 @@ class EvalPlan:
                 raise ValueError(f"{name} must be finite, got {values}")
         if any(eps < 0 for eps in self.attack_eps):
             raise ValueError(f"attack_eps radii must be nonnegative, got {self.attack_eps}")
+        for snr in self.snr_db:  # the channel's own range check
+            ChannelConfig(snr_db=snr)
 
 
 @dataclass
@@ -117,6 +119,11 @@ class ExperimentConfig:
         if task is not self.task:
             raise ConfigError(f"dataset: kind {self.dataset.kind!r} holds {task.value} data, "
                               f"but task is {self.task.value!r}")
+        # every text dataset holds sequences of dataset.max_len tokens
+        sem, seq_len = self.model.semantic_dim, self.dataset.max_len
+        if self.task is TaskKind.TEXT and sem is not None and sem % seq_len:
+            raise ConfigError(f"model: semantic_dim must be a multiple of dataset.max_len "
+                              f"({seq_len}) for text, got {sem}")
 
 
 # The sections nested in TrainConfig that the JSON holds at the top level.

@@ -23,7 +23,6 @@ class Dataset:
     train: np.ndarray
     eval: np.ndarray
     vocab_size: int = 0
-    source: str = "synthetic"
 
     def __post_init__(self):
         for name, split in (("train", self.train), ("eval", self.eval)):
@@ -98,7 +97,7 @@ def generate_synthetic_images(n: int, side: int = 8, seed: int = 0) -> Dataset:
     images /= hi - lo + 1e-12
     np.clip(images, 0.0, 1.0, out=images)
     train, evalp = _split(images)
-    return Dataset(TaskKind.IMAGE, train, evalp, source=f"synthetic-images(seed={seed})")
+    return Dataset(TaskKind.IMAGE, train, evalp)
 
 
 def generate_synthetic_text(n: int, vocab_size: int = 32, max_len: int = 12,
@@ -132,8 +131,7 @@ def generate_synthetic_text(n: int, vocab_size: int = 32, max_len: int = 12,
         seqs[:, j] = tok
         tok = (cdf[tok] <= u[:, j + 1, None]).sum(axis=1)
     train, evalp = _split(seqs)
-    return Dataset(TaskKind.TEXT, train, evalp, vocab_size=vocab_size,
-                   source=f"synthetic-text(seed={seed})")
+    return Dataset(TaskKind.TEXT, train, evalp, vocab_size=vocab_size)
 
 
 def ingest_cifar10_binary(path, side: int = 16) -> Dataset:
@@ -159,7 +157,7 @@ def ingest_cifar10_binary(path, side: int = 16) -> Dataset:
     block = 32 // side
     small = gray.reshape(n, side, block, side, block).mean(axis=(2, 4))
     train, evalp = _split(small.reshape(n, -1))
-    return Dataset(TaskKind.IMAGE, train, evalp, source=f"cifar10:{path}")
+    return Dataset(TaskKind.IMAGE, train, evalp)
 
 
 def ingest_text_lines(path, vocab, max_len: int = 16) -> Dataset:
@@ -178,5 +176,4 @@ def ingest_text_lines(path, vocab, max_len: int = 16) -> Dataset:
     if not seqs:
         raise ValueError(f"{path}: no usable lines")
     train, evalp = _split(np.array(seqs, dtype=np.int64))
-    return Dataset(TaskKind.TEXT, train, evalp, vocab_size=len(vocab),
-                   source=f"text:{path}")
+    return Dataset(TaskKind.TEXT, train, evalp, vocab_size=len(vocab))

@@ -111,6 +111,25 @@ def test_sweep_flag_overrides_and_workers_match_serial(tmp_path):
     assert len((t1 / "sweep.csv").read_text().splitlines()) == 1 + 2 * 2
 
 
+def test_a_sweep_that_trains_writes_what_train_writes(tmp_path):
+    # it once saved only model.ckpt: no step log, and checkpoint_every did nothing
+    cfg = _cfg_file(tmp_path, train={**TINY["train"], "epochs": 2, "checkpoint_every": 2})
+    t, s = tmp_path / "t", tmp_path / "s"
+    assert main(["train", "--config", str(cfg), "--out", str(t)]) == 0
+    assert main(["sweep", "--config", str(cfg), "--out", str(s)]) == 0
+    steps = ["ckpt_step000002.bin", "ckpt_step000004.bin"]
+    for out in (t, s):
+        assert sorted(p.name for p in out.glob("ckpt_step*")) == steps
+    for name in ["model.ckpt", *steps]:
+        assert (s / name).read_bytes() == (t / name).read_bytes(), name
+
+    def all_but_wall_ms(path):  # wall_ms is the last column
+        return [row.rsplit(",", 1)[0] for row in path.read_text().splitlines()]
+
+    assert all_but_wall_ms(s / "train_log.csv") == all_but_wall_ms(t / "train_log.csv")
+    assert len(all_but_wall_ms(t / "train_log.csv")) == 1 + 4 * 2   # header + steps x phases
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_serial_sweep_builds_its_dataset_once(tmp_path, monkeypatch, workers):
     # a pool's workers get the parent's dataset and bundle; none builds or loads its own
@@ -318,6 +337,17 @@ def test_non_finite_eval_flags_fail_before_any_work(tmp_path, capsys, argv):
     ckpt = ["--ckpt", str(junk)] if argv[0] == "eval" else []
     assert main(argv + ["--config", str(cfg)] + ckpt) == 2
     assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv,section", [(["train", "--snr", "4000"], "channel"),
+                                          (["sweep", "--snr", "0,-4000"], "eval")])
+def test_snrs_beyond_the_cap_fail_before_any_work(tmp_path, capsys, argv, section):
+    # 10^(snr_db/10) once overflowed or divided by zero at the first channel
+    # draw, after a sweep had trained and saved its model
+    assert main(argv + ["--config", str(_cfg_file(tmp_path))]) == 2
+    assert (f"config error: {section}: snr_db must lie in [-200, 200]"
+            in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
 

@@ -243,6 +243,8 @@ def test_invalid_values_become_config_errors():
                                 ("eval", "attack_fraction", -0.1),
                                 ("eval", "attack_fraction", float("nan")),
                                 ("eval", "snr_db", [0.0, float("inf")]),
+                                ("eval", "snr_db", [0.0, -200.5]),
+                                ("channel", "snr_db", 250.0),
                                 ("eval", "attack_eps", [float("nan")]),
                                 ("eval", "attack_eps", [0.0, -0.5]),
                                 ("eval", "snr_db", []), ("eval", "attack_eps", []),
@@ -368,6 +370,20 @@ def test_model_dims_derivation_and_override():
     dims = C.model_dims(cfg, data)
     assert dims.seq_len == 6 and dims.semantic_dim % dims.seq_len == 0
     assert dims.input_dim == 6 * cfg.model.embed_dim
+
+
+def test_a_text_semantic_dim_must_split_into_one_vector_per_position():
+    # every text dataset holds sequences of max_len tokens
+    doc = {"task": "text", "model": {"semantic_dim": 30}, "dataset": {"max_len": 8}}
+    with pytest.raises(C.ConfigError, match=r"model: semantic_dim .*max_len \(8\) for text, got 30"):
+        C.parse_config(doc)
+    assert C.parse_config({**doc, "model": {"semantic_dim": 32}}).model.semantic_dim == 32
+    assert C.parse_config({**doc, "task": "image"}).model.semantic_dim == 30
+
+
+def test_the_snr_cap_itself_is_legal():
+    cfg = C.parse_config({"channel": {"snr_db": -200.0}, "eval": {"snr_db": [-200, 200.0]}})
+    assert (cfg.train.channel.snr_db, cfg.eval_plan.snr_db) == (-200.0, [-200, 200.0])
 
 
 def test_model_dims_without_overrides_are_the_training_defaults():
