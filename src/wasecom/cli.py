@@ -172,16 +172,27 @@ def _sweep_cell(cfg: ExperimentConfig, bundle, data, snr: float, eps: float) -> 
     return rec.csv_row()
 
 
+def _check_model_sizes(cfg: ExperimentConfig, bundle):
+    """A `model` size the config gives must be the checkpoint's; `embed_dim`
+    has a default, so a given value cannot be told from it and is not checked."""
+    for key in ("semantic_dim", "signal_dim", "hidden_dim"):
+        given, loaded = getattr(cfg.model, key), getattr(bundle.dims, key)
+        if given is not None and given != loaded:
+            raise ConfigError(f"model: {key} is {given}, but the checkpoint's is {loaded}")
+
+
 def _run_inputs(args):
     """The config, the prepared output directory, the dataset and the bundle:
     loaded from --ckpt, or else trained and saved with its step log (and step
     checkpoints, which the trainer writes only when checkpoint_every is set)."""
     cfg = _load_config(args)
+    ckpt = getattr(args, "ckpt", None)  # train has no --ckpt
+    if ckpt:  # loaded and checked before anything is written
+        bundle = load_checkpoint(ckpt)
+        _check_model_sizes(cfg, bundle)
+        return cfg, _prepare_out(cfg), build_dataset(cfg), bundle
     out = _prepare_out(cfg)
     data = build_dataset(cfg)
-    ckpt = getattr(args, "ckpt", None)  # train has no --ckpt
-    if ckpt:
-        return cfg, out, data, load_checkpoint(ckpt)
     log.info("training mode=%s on %d samples", cfg.train.mode.value, len(data.train))
     bundle, train_log = train(cfg.train, data, dims=model_dims(cfg, data), checkpoint_dir=out)
     save_checkpoint(bundle, out / "model.ckpt")

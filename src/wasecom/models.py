@@ -89,6 +89,7 @@ class ModelBundle:
         self.task = TaskKind(task)
         self.dims = d = dims
         rng = np.random.default_rng([int(seed), 0])
+        self._frozen = None
         self.params = {}
         if self.task is TaskKind.TEXT:
             self.params["embed"] = Tensor(rng.normal(scale=0.5, size=(d.vocab_size, d.embed_dim)),
@@ -119,16 +120,36 @@ class ModelBundle:
     def param_bytes(self) -> bytes:
         return b"".join(p.data.tobytes() for _, p in self.named_params())
 
+    def view(self, live) -> "ModelBundle":
+        """A bundle sharing every parameter array that differentiates only `live`.
+
+        The Tensors in `live` are this bundle's own, so their gradients land
+        in their buffers; every other parameter is a gradient-free Tensor over
+        the same array.  A backward through the view computes no gradient for
+        those, and reads whatever value the shared arrays hold at the time.
+        """
+        live_ids = {id(p) for p in live}
+        if not live_ids <= {id(p) for p in self.params.values()}:
+            raise ValueError("view: a live Tensor is not a parameter of this bundle")
+        clone = object.__new__(ModelBundle)
+        clone.task, clone.dims, clone._frozen = self.task, self.dims, None
+        clone.params = {name: p if id(p) in live_ids else Tensor(p.data)
+                        for name, p in self.params.items()}
+        return clone
+
     def frozen(self) -> "ModelBundle":
-        """A view sharing parameter arrays but with gradients switched off.
+        """The view with nothing live, built once and reused.
 
         Attack passes differentiate with respect to inputs only; running them
-        through a frozen view guarantees parameter grads stay untouched.
+        through a frozen view guarantees parameter grads stay untouched.  It is
+        rebuilt once some parameter no longer holds the array it wraps (an
+        optimizer's construction rebinds them); in-place writes need no rebuild.
         """
-        clone = object.__new__(ModelBundle)
-        clone.task, clone.dims = self.task, self.dims
-        clone.params = {name: Tensor(p.data) for name, p in self.params.items()}
-        return clone
+        view = self._frozen
+        if view is None or any(f.data is not p.data
+                               for f, p in zip(view.params.values(), self.params.values())):
+            view = self._frozen = self.view(())
+        return view
 
 
 # ------------------------------------------------------------------ forward

@@ -115,13 +115,17 @@ def gaussian_samples(x: np.ndarray, spec: PerturbSpec, rng: np.random.Generator)
     Per-coordinate sigma is radius / sqrt(D), so the expected squared
     displacement matches radius^2; individual draws may leave the hard ball
     (smoothing samples are exempt from the budget).  The K draws come from one
-    rng.normal call, the same stream as K calls of shape (B, D) in turn.
+    standard-normal call, the same stream as K calls of shape (B, D) in turn,
+    scaled and shifted in place: the bytes of x + rng.normal(scale=sigma, ...).
     """
     d = x.shape[1]
     sigma = 0.0 if spec.radius == 0 else spec.radius / np.sqrt(d)
     if not sigma:
         return np.repeat(x[None], spec.sample_count, axis=0)
-    return x + rng.normal(scale=sigma, size=(spec.sample_count, *x.shape))
+    draws = rng.standard_normal((spec.sample_count, *x.shape))
+    draws *= sigma
+    draws += x
+    return draws
 
 
 def attacked_row_mask(batch: int, fraction: float, rng: np.random.Generator) -> np.ndarray:

@@ -5,10 +5,13 @@ One loop serves both trainers.  Each minibatch runs the OUTER phase first
 phase (source uncertainty, updating the semantic codec through the
 just-updated channel codec).  WaSeCom scores the phases with the penalized
 dual objectives and follows them with a projected dual-variable step; ERM
-scores them with the clean losses and takes no dual step.  Randomness is drawn
-from per-purpose child streams keyed as [seed, tag, step, ...], so the robust
-loop with both radii at zero consumes exactly the same channel draws as the
-ERM loop and their parameter trajectories match bit for bit.
+scores them with the clean losses and takes no dual step.  Each phase calls
+its loss on a view of the bundle that differentiates only the group its
+optimizer owns, so the inner backward computes no channel-codec gradient.
+Randomness is drawn from per-purpose child streams keyed as
+[seed, tag, step, ...], so the robust loop with both radii at zero consumes
+exactly the same channel draws as the ERM loop and their parameter
+trajectories match bit for bit.
 """
 from __future__ import annotations
 
@@ -181,10 +184,14 @@ def _train_alternating(cfg: TrainConfig, data: Dataset, dims, bundle, checkpoint
     """
     if bundle is None:
         bundle = ModelBundle(data.task, dims or default_dims(data), seed=cfg.seed)
-    # the losses are read from the module per call, so a patched global takes effect
-    phases = (("outer", Adam(bundle.channel_params(), cfg.lr), outer_dual_loss,
+    outer_opt = Adam(bundle.channel_params(), cfg.lr)
+    inner_opt = Adam(bundle.semantic_params(), cfg.lr)
+    # each phase scores its loss on a view that differentiates its own group alone, built
+    # after both optimizers have rebound the parameters to their buffers; the losses are
+    # read from the module per call, so a patched global takes effect
+    phases = (("outer", outer_opt, bundle.view(outer_opt.params), outer_dual_loss,
                clean_outer_loss, cfg.perturb_outer, TAG_OUTER_CHANNEL, TAG_OUTER_ATTACK),
-              ("inner", Adam(bundle.semantic_params(), cfg.lr), inner_dual_loss,
+              ("inner", inner_opt, bundle.view(inner_opt.params), inner_dual_loss,
                clean_inner_loss, cfg.perturb_inner, TAG_INNER_CHANNEL, TAG_INNER_ATTACK))
     rob = cfg.robustness
     log = TrainLog()
@@ -193,16 +200,16 @@ def _train_alternating(cfg: TrainConfig, data: Dataset, dims, bundle, checkpoint
         for idx in _minibatches(len(data.train), cfg.batch_size, _stream(cfg.seed, TAG_SHUFFLE, epoch)):
             x = data.train[idx]
             mean_cost = {}
-            for phase, opt, dual_loss, clean_loss, spec, channel_tag, attack_tag in phases:
+            for phase, opt, view, dual_loss, clean_loss, spec, channel_tag, attack_tag in phases:
                 t0 = time.perf_counter()
                 opt.zero_grad()
                 # the trailing 0 of the key keeps every draw, and so every trajectory, as pinned
                 rng = _stream(cfg.seed, channel_tag, step, 0)
                 if robust:
-                    val = dual_loss(bundle, x, cfg.channel, rob, spec, rng=rng,
+                    val = dual_loss(view, x, cfg.channel, rob, spec, rng=rng,
                                     attack_rng=_stream(cfg.seed, attack_tag, step, 0))
                 else:  # no penalty, and no cost for a dual step to read
-                    loss = clean_loss(bundle, x, cfg.channel, rng=rng)
+                    loss = clean_loss(view, x, cfg.channel, rng=rng)
                     val = DualObjectiveValue(loss, 0.0, float(loss.data), float("nan"))
                 rec = StepRecord(step, phase, float(val.total.data), val.penalty_term,
                                  val.expectation_term, rob.lam, rob.gamma, 0.0)
@@ -291,8 +298,8 @@ def evaluate(bundle: ModelBundle, data: Dataset, channel_cfg: ChannelConfig,
     and the metric sums run batch by batch.  The clean and attacked passes
     share the realization, so the attack measures input sensitivity rather
     than noise luck.  For text the `mse` column carries the mean token NLL.
-    The bundle is never mutated: all passes run on a frozen view and attack
-    gradients stop at the perturbation leaf.
+    The bundle's parameters are never written: all passes run on its frozen
+    view and attack gradients stop at the perturbation leaf.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")

@@ -371,6 +371,29 @@ def test_eval_on_a_checkpoint_of_another_size_names_both(tmp_path, capsys):
     assert "samples have shape (4, 16), but the model's input_dim is 36" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_a_model_size_other_than_the_checkpoints_fails_before_any_output(tmp_path, capsys,
+                                                                         command):
+    # it once exited 0 and recorded the config's size, not the model's
+    trained = tmp_path / "trained"
+    sizes = {"semantic_dim": 12, "signal_dim": 10, "hidden_dim": 24}
+    assert main(["train", "--config", str(_cfg_file(tmp_path, out_dir=str(trained),
+                                                    model=sizes))]) == 0
+    ckpt = ["--ckpt", str(trained / "model.ckpt")]
+    for key in sizes:
+        other = _cfg_file(tmp_path, name="other.json", model={key: sizes[key] + 1})
+        assert main([command, "--config", str(other)] + ckpt) == 2
+        err = capsys.readouterr().err
+        assert f"config error: model: {key} is {sizes[key] + 1}, but the checkpoint's is " \
+               f"{sizes[key]}" in err
+        assert not (tmp_path / "out").exists()
+    # the checkpoint's own sizes, or none given, run
+    assert main([command, "--config", str(_cfg_file(tmp_path, model=sizes))] + ckpt) == 0
+    snapshot = json.loads((tmp_path / "out" / "config.json").read_text())
+    assert {k: snapshot["model"][k] for k in sizes} == sizes
+    assert main([command, "--config", str(_cfg_file(tmp_path))] + ckpt) == 0
+
+
 def test_sweep_rejects_a_bad_eval_plan_before_training(tmp_path, capsys):
     cfg = _cfg_file(tmp_path, eval={"attack_fraction": 2.0})
     assert main(["sweep", "--config", str(cfg)]) == 2

@@ -179,6 +179,22 @@ def test_bleu_rows_do_not_depend_on_the_call_size(vocab, length):
         assert whole[lo:hi].tobytes() == part.tobytes()
 
 
+@pytest.mark.parametrize("c_len,r_len", [(300, 300), (250, 260), (260, 250)])
+def test_bleu_counts_stay_exact_past_255_tokens(c_len, r_len):
+    # a uint8 count would wrap: 300 copies of one token would count 44
+    rng = np.random.default_rng([c_len, r_len])
+    cand = rng.integers(2, size=(3, c_len))
+    refs = rng.integers(2, size=(3, r_len))
+    cand[0], refs[0] = 0, 0
+    expected = [_reference_bleu(list(map(int, c)), [list(map(int, r))])
+                for c, r in zip(cand, refs)]
+    assert [MX.bleu(list(map(int, c)), [list(map(int, r))])
+            for c, r in zip(cand, refs)] == expected
+    assert np.array_equal(MX._sentence_bleu(cand, refs[:, None, :], r_len, 4, 1e-9), expected)
+    if c_len == r_len:
+        assert expected[0] == 1.0 and MX.bleu(cand, refs) == float(np.mean(expected))
+
+
 def test_bleu_multi_reference_and_string_tokens_match_reference():
     rng = np.random.default_rng(11)
     words = np.array(["the", "cat", "sat", "on", "a", "mat"])

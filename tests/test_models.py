@@ -5,7 +5,7 @@ import pytest
 
 from wasecom import models as M
 from wasecom.channel import ChannelConfig, ChannelKind, realization_for
-from wasecom.optim import Sgd
+from wasecom.optim import Adam, Sgd
 from wasecom.tensor import Tensor
 
 
@@ -128,6 +128,39 @@ def test_frozen_view_shares_values_but_takes_no_grads():
     # shared storage: mutating the original is visible through the view
     b.params["sem_enc.w0"].data[0, 0] += 1.0
     assert fz.params["sem_enc.w0"].data[0, 0] == b.params["sem_enc.w0"].data[0, 0]
+
+
+def test_view_keeps_exactly_its_live_tensors_live():
+    b = image_bundle(seed=3)
+    live = {id(p) for p in b.channel_params()}
+    view = b.view(b.channel_params())
+    for (name, p), (view_name, q) in zip(b.named_params(), view.named_params()):
+        assert view_name == name and q.data is p.data
+        assert (q is p) == (id(p) in live) and q.requires_grad == (id(p) in live)
+    x = Tensor(np.random.default_rng(4).uniform(size=(3, 64)))
+    s = M.channel_decode(view, M.channel_encode(view, M.semantic_encode(view, x)))
+    out = M.semantic_decode(view, s)
+    M.reconstruction_loss(view, x, out).backward()
+    for name, p in b.named_params():
+        assert np.any(p.grad != 0) == (id(p) in live), name
+    assert all(q.grad is None for q in view.params.values() if id(q) not in live)
+    with pytest.raises(ValueError, match="not a parameter"):
+        b.view([Tensor(np.zeros(2), requires_grad=True)])
+
+
+def test_frozen_view_is_reused_until_an_optimizer_rebinds_the_arrays():
+    b = image_bundle(seed=9)
+    fz = b.frozen()
+    assert b.frozen() is fz
+    opt = Adam(b.channel_params(), lr=0.1)   # rebinds the channel group to its buffers
+    rebuilt = b.frozen()
+    assert rebuilt is not fz and b.frozen() is rebuilt
+    assert all(f.data is p.data for f, p in zip(rebuilt.params.values(), b.params.values()))
+    before = rebuilt.param_bytes()
+    opt.grad[...] = 1.0
+    opt.step()   # writes in place: the view taken before the step reads the stepped values
+    assert rebuilt.param_bytes() == b.param_bytes() != before
+    assert b.frozen() is rebuilt
 
 
 def estimate_lipschitz(fn, samples: np.ndarray, n_pairs=200, rng=None) -> float:

@@ -154,6 +154,18 @@ def test_gaussian_samples_equal_k_separate_draws(radius):
     assert rng.random() == ref_rng.random()   # the stream is left where the loop left it
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (7, 5), (32, 64)])
+@pytest.mark.parametrize("count", [1, 3, 8])
+def test_gaussian_samples_are_the_bytes_of_a_scaled_normal_draw(shape, count):
+    x = np.random.default_rng(list(shape)).normal(size=shape)
+    spec = PerturbSpec(method="gaussian", radius=0.7, sample_count=count)
+    sigma = 0.7 / np.sqrt(shape[1])
+    for seed in range(20):
+        got = gaussian_samples(x, spec, np.random.default_rng(seed))
+        want = x + np.random.default_rng(seed).normal(scale=sigma, size=(count, *shape))
+        assert got.tobytes() == want.tobytes()
+
+
 def test_gaussian_seeded_determinism():
     x = np.zeros((4, 4))
     spec = PerturbSpec(method="gaussian", radius=1.0, sample_count=2)

@@ -116,6 +116,36 @@ def test_outer_phase_leaves_semantic_params_alone(monkeypatch):
     assert any(not np.array_equal(a, b) for a, b in zip(final_sem, init_sem))
 
 
+@pytest.mark.parametrize("mode,inner_name", [(Mode.WASECOM, "inner_dual_loss"),
+                                             (Mode.ERM, "clean_inner_loss")])
+def test_inner_phase_differentiates_only_the_semantic_group(monkeypatch, mode, inner_name):
+    data = _image_data(n=16)
+    cfg = _cfg(epochs=1, batch_size=8, mode=mode, robustness=RobustnessConfig(rho=0.05, mu=0.05))
+    bundle = ModelBundle(data.task, _dims_for(data), seed=cfg.seed)
+    real_inner = getattr(TR, inner_name)
+    views = []
+
+    def inner(view, *args, **kwargs):
+        views.append(view)
+        for p in bundle.channel_params():   # the outer step has read them already
+            p.grad[...] = 7.0
+        return real_inner(view, *args, **kwargs)
+
+    def channel_grads_untouched(step, b):
+        assert all(np.all(p.grad == 7.0) for p in b.channel_params())
+
+    monkeypatch.setattr(TR, inner_name, inner)
+    train(cfg, data, bundle=bundle, on_step=channel_grads_untouched)
+    assert len(views) == 2 and views[0] is views[1]   # one view per phase for the run
+    for name, p in bundle.named_params():
+        q = views[0].params[name]
+        assert q.data is p.data
+        if name.startswith("chan_"):
+            assert q is not p and not q.requires_grad and q.grad is None
+        else:
+            assert q is p
+
+
 @pytest.mark.parametrize("mode,outer_name,inner_name", [
     (Mode.WASECOM, "outer_dual_loss", "inner_dual_loss"),
     (Mode.ERM, "clean_outer_loss", "clean_inner_loss")])
