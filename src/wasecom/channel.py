@@ -4,7 +4,10 @@ The transmitted signal u passes through z = h * u + w.  The fade h and the
 noise w are drawn per batch and treated as constants, so gradients flow
 through u only (dz/du = diag(h)).  AWGN fixes h = 1; the Rayleigh channel
 draws one scalar fade per sample (block fading) with scale 1/sqrt(2) so that
-E[h^2] = 1 and the average received signal power is preserved.
+E[h^2] = 1 and the average received signal power is preserved.  A
+realization is built in one way: `draw_units` draws a batch's unit fades and
+standard-normal noise, and `scale_units` scales the noise for the batch's
+measured power and the SNR.
 """
 from __future__ import annotations
 
@@ -53,22 +56,53 @@ def noise_variance(cfg: ChannelConfig, signal_power: float) -> float:
     return float(signal_power / 10.0 ** (cfg.snr_db / 10.0))
 
 
+@dataclass(frozen=True)
+class UnitDraws:
+    """A batch's channel draws before any signal power or SNR scales them."""
+
+    fade: np.ndarray | None   # (batch, 1) Rayleigh fades; None for AWGN
+    noise: np.ndarray         # (batch, dim) standard-normal noise
+
+
+def draw_units(kind: ChannelKind, batch: int, dim: int, rng: np.random.Generator) -> UnitDraws:
+    """Draw a batch's unit draws. Draw order is fixed: fade first, then noise."""
+    fade = (rng.rayleigh(scale=RAYLEIGH_SCALE, size=(batch, 1))
+            if kind is ChannelKind.RAYLEIGH else None)
+    return UnitDraws(fade=fade, noise=rng.standard_normal((batch, dim)))
+
+
+def scale_units(cfg: ChannelConfig, units: UnitDraws, signal_power: float) -> ChannelRealization:
+    """The realization of unit draws for a batch of this power at cfg's SNR.
+
+    w holds the bytes of rng.normal(loc=0.0, scale=sqrt(sigma^2)) on the same
+    stream: numpy's normal returns loc + scale * z, hence the added zero.
+    """
+    scale = np.sqrt(noise_variance(cfg, signal_power))
+    batch, dim = units.noise.shape
+    h = np.ones((batch, dim)) if units.fade is None else np.repeat(units.fade, dim, axis=1)
+    w = units.noise * scale
+    w += 0.0
+    return ChannelRealization(h=h, w=w)
+
+
 def draw_realization(cfg: ChannelConfig, batch: int, dim: int, signal_power: float,
                      rng: np.random.Generator) -> ChannelRealization:
-    """Draw (h, w) for a batch. Draw order is fixed: fade first, then noise."""
-    if cfg.kind is ChannelKind.RAYLEIGH:
-        fade = rng.rayleigh(scale=RAYLEIGH_SCALE, size=(batch, 1))
-        h = np.repeat(fade, dim, axis=1)
-    else:
-        h = np.ones((batch, dim))
-    sigma2 = noise_variance(cfg, signal_power)
-    w = rng.normal(loc=0.0, scale=np.sqrt(sigma2), size=(batch, dim))
-    return ChannelRealization(h=h, w=w)
+    """Draw (h, w) for a batch: fresh unit draws, scaled for its power."""
+    return scale_units(cfg, draw_units(cfg.kind, batch, dim, rng), signal_power)
 
 
 def apply_realization(u: Tensor, realization: ChannelRealization) -> Tensor:
     """z = h * u + w with h, w fixed constants; differentiable in u."""
     return T.scale_shift(u, realization.h, realization.w)
+
+
+def signal_power(u: np.ndarray) -> float:
+    """The mean power of a finite (batch, dim) transmit signal."""
+    if not np.all(np.isfinite(u)):
+        raise ValueError("transmit: non-finite signal")
+    if u.ndim != 2:
+        raise ValueError(f"transmit: expected (batch, dim) signal, got shape {u.shape}")
+    return float(np.mean(u * u))
 
 
 def realization_for(cfg: ChannelConfig, u: np.ndarray,
@@ -78,13 +112,8 @@ def realization_for(cfg: ChannelConfig, u: np.ndarray,
     The measured power (not an assumed unit power) sets sigma^2, so the
     configured SNR is honored even without normalization.
     """
-    if not np.all(np.isfinite(u)):
-        raise ValueError("transmit: non-finite signal")
-    if u.ndim != 2:
-        raise ValueError(f"transmit: expected (batch, dim) signal, got shape {u.shape}")
-    batch, dim = u.shape
-    power = float(np.mean(u * u))
-    return draw_realization(cfg, batch, dim, power, rng)
+    power = signal_power(u)
+    return draw_realization(cfg, *u.shape, power, rng)
 
 
 def transmit(cfg: ChannelConfig, u: Tensor, rng: np.random.Generator):

@@ -15,6 +15,7 @@ trajectories match bit for bit.
 """
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -23,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import models as M
-from .channel import ChannelConfig, ChannelKind, ChannelRealization, realization_for
+from .channel import (ChannelConfig, ChannelKind, ChannelRealization, UnitDraws, draw_units,
+                      scale_units, signal_power)
 from .data import Dataset
 from .metrics import MetricsRecord, bleu, psnr_from_mse, ssim
 from .models import ModelBundle, ModelDims, TaskKind, save_checkpoint
@@ -54,6 +56,13 @@ def _stream(seed: int, tag: int, *rest: int) -> np.random.Generator:
     return np.random.default_rng([seed, tag, *rest])
 
 
+def _require_int(name: str, value, least: int):
+    """Raise a ValueError naming `name` unless `value` is an integer, not a bool, >= least."""
+    if type(value) is bool or not isinstance(value, (int, np.integer)) or value < least:
+        what = "a nonnegative integer" if least == 0 else f"an integer of at least {least}"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 2
@@ -71,8 +80,7 @@ class TrainConfig:
         default_factory=lambda: PerturbSpec(PerturbMethod.FGSM, radius=0.1))
 
     def __post_init__(self):
-        if type(self.seed) is bool or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        _require_int("seed", self.seed, 0)
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.epochs < 0:
@@ -271,6 +279,37 @@ def _attack_label(attack: PerturbSpec | None) -> str:
     return f"{attack.method.value}(eps={attack.radius:g};frac={attack.sample_fraction:g})"
 
 
+# Entries each eval draw cache holds.  A grid that cycles through more keys than
+# an LRU cache holds misses on every cell; an audit-style grid cycles through
+# 2 bundles x 2 channel kinds.
+EVAL_CACHE_ENTRIES = 8
+
+
+@functools.lru_cache(maxsize=EVAL_CACHE_ENTRIES)
+def _eval_unit_draws(seed: int, kind: ChannelKind, rows: int, batch_size: int,
+                     dim: int) -> tuple[UnitDraws, ...]:
+    """Each eval batch's unit channel draws, from its stream [seed, TAG_EVAL_CHANNEL, bi]."""
+    draws = tuple(draw_units(kind, min(batch_size, rows - start), dim,
+                             _stream(seed, TAG_EVAL_CHANNEL, bi))
+                  for bi, start in enumerate(range(0, rows, batch_size)))
+    for units in draws:
+        for array in (units.fade, units.noise):
+            if array is not None:
+                array.setflags(write=False)
+    return draws
+
+
+@functools.lru_cache(maxsize=EVAL_CACHE_ENTRIES)
+def _eval_attacked_rows(seed: int, rows: int, batch_size: int, fraction: float) -> np.ndarray:
+    """The split's attacked row indices, each batch's chosen on [seed, TAG_EVAL_ATTACK, bi]."""
+    picked = np.concatenate([
+        start + np.flatnonzero(attacked_row_mask(min(batch_size, rows - start), fraction,
+                                                 _stream(seed, TAG_EVAL_ATTACK, bi)))
+        for bi, start in enumerate(range(0, rows, batch_size))])
+    picked.setflags(write=False)
+    return picked
+
+
 def _attack_rows(frozen: ModelBundle, samples, centers: np.ndarray,
                  realization: ChannelRealization, attack: PerturbSpec, rows: np.ndarray):
     """The attacked inputs of `rows`, each row against its own channel draw.
@@ -300,9 +339,20 @@ def evaluate(bundle: ModelBundle, data: Dataset, channel_cfg: ChannelConfig,
     than noise luck.  For text the `mse` column carries the mean token NLL.
     The bundle's parameters are never written: all passes run on its frozen
     view and attack gradients stop at the perturbation leaf.
+
+    The draws depend on neither the model nor the SNR, so each process keeps
+    its latest ones in two LRU caches of EVAL_CACHE_ENTRIES entries each: the
+    batches' unit fades and noise by (seed, channel kind, rows, batch_size,
+    signal_dim), an entry about the size of the split's transmit signal
+    (rows x signal_dim floats), and the attacked row indices by (seed, rows,
+    batch_size, sample_fraction).  Each cell still checks and measures every
+    batch's signal, then scales the cached draws by its power and SNR, so
+    the records are those of fresh draws.  A grid of cells saves the repeated
+    draws; a single cell, such as `wasecom eval`, gains nothing.
     """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
+    _require_int("seed", seed, 0)
+    _require_int("batch_size", batch_size, 1)
+    seed = int(seed)  # an np.int64 seed shares the plain int's cache entries
     task, samples = bundle.task, data.eval  # Dataset has checked the split's shape and ids
     if data.task is not task:
         raise ValueError(f"dataset task {data.task.value!r} differs from the model's {task.value!r}")
@@ -324,18 +374,14 @@ def evaluate(bundle: ModelBundle, data: Dataset, channel_cfg: ChannelConfig,
     else:
         centers = M.embed_tokens(frozen, samples).data
     u0 = M.encode_signal(frozen, Tensor(centers))
-    draws = [realization_for(channel_cfg, u0.data[start:start + batch_size],
-                             _stream(seed, TAG_EVAL_CHANNEL, bi))
-             for bi, start in enumerate(starts)]
+    units = _eval_unit_draws(seed, channel_cfg.kind, n, batch_size, bundle.dims.signal_dim)
+    draws = [scale_units(channel_cfg, unit, signal_power(u0.data[start:start + batch_size]))
+             for unit, start in zip(units, starts)]
     realization = ChannelRealization(h=np.concatenate([r.h for r in draws]),
                                      w=np.concatenate([r.w for r in draws]))
     u = u0
     if _attacking(attack):
-        rows = np.concatenate([
-            start + np.flatnonzero(attacked_row_mask(min(batch_size, n - start),
-                                                     attack.sample_fraction,
-                                                     _stream(seed, TAG_EVAL_ATTACK, bi)))
-            for bi, start in enumerate(starts)])
+        rows = _eval_attacked_rows(seed, n, batch_size, attack.sample_fraction)
         if len(rows):  # re-encode the attacked rows only, into a copy of the clean signal
             attacked = _attack_rows(frozen, samples, centers, realization, attack, rows)
             signal = u0.data.copy()

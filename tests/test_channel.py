@@ -78,6 +78,24 @@ def test_realization_for_rejects_bad_signals():
         realization_for(ChannelConfig(), np.ones(3), rng)
 
 
+@pytest.mark.parametrize("kind", list(ChannelKind))
+@pytest.mark.parametrize("shape", [(1, 1), (3, 7), (32, 16), (64, 96)])
+@pytest.mark.parametrize("snr_db", [-200.0, 0.0, 10.0, 200.0])
+def test_draw_realization_is_a_direct_rayleigh_then_normal_draw(kind, shape, snr_db):
+    batch, dim = shape
+    cfg = ChannelConfig(kind=kind, snr_db=snr_db)
+    power = 0.37
+    key = [5, batch, dim]
+    got = draw_realization(cfg, batch, dim, power, np.random.default_rng(key))
+    rng = np.random.default_rng(key)
+    fade = (rng.rayleigh(scale=RAYLEIGH_SCALE, size=(batch, 1))
+            if kind is ChannelKind.RAYLEIGH else np.ones((batch, 1)))
+    w = rng.normal(loc=0.0, scale=np.sqrt(noise_variance(cfg, power)), size=(batch, dim))
+    assert got.h.shape == got.w.shape == (batch, dim)
+    assert got.h.tobytes() == np.repeat(fade, dim, axis=1).tobytes()
+    assert got.w.tobytes() == w.tobytes()
+
+
 def test_same_seed_same_draw():
     cfg = ChannelConfig(kind="rayleigh", snr_db=5.0)
     u = Tensor(np.ones((16, 3)))

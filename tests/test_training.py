@@ -581,6 +581,88 @@ def test_evaluate_grid_is_pinned():
     assert h.hexdigest() == EVALUATE_GRID_SHA
 
 
+def _clear_eval_caches():
+    TR._eval_unit_draws.cache_clear()
+    TR._eval_attacked_rows.cache_clear()
+
+
+def test_evaluate_records_are_the_same_on_cold_and_warm_draw_caches():
+    cases = []
+    for data in (_image_data(n=120, side=6, seed=2),
+                 generate_synthetic_text(120, vocab_size=8, max_len=6, seed=2)):
+        cases.append((ModelBundle(data.task, _dims_for(data), seed=1), data))
+    # 30 eval rows: batch size 12 ends on a ragged 6, batch size 7 on a ragged 2
+    cells = [(case, kind, batch_size, fraction, seed)
+             for seed in (1, 7)
+             for fraction in (None, 0.3, 1.0)
+             for batch_size in (12, 7)
+             for kind in (ChannelKind.AWGN, ChannelKind.RAYLEIGH)
+             for case in cases]
+
+    def run(cell):
+        (bundle, data), kind, batch_size, fraction, seed = cell
+        attack = None if fraction is None else PerturbSpec(
+            PerturbMethod.FGSM, radius=0.3, epsilon_inf=0.1, sample_fraction=fraction)
+        return evaluate(bundle, data, ChannelConfig(kind, 5.0), attack, seed=seed,
+                        batch_size=batch_size).csv_row()
+
+    cold = []
+    for cell in cells:
+        _clear_eval_caches()
+        cold.append(run(cell))
+    for _ in range(2):   # the second round reads every draw from the caches
+        assert [run(cell) for cell in cells] == cold
+    assert TR._eval_unit_draws.cache_info().hits >= len(cells)
+
+    # more distinct keys than the caches hold evict the first cell's draws
+    first = cells[0]
+    for seed in range(100, 101 + TR.EVAL_CACHE_ENTRIES):
+        run((first[0], first[1], first[2], 0.5, seed))
+    misses = TR._eval_unit_draws.cache_info().misses
+    assert run(first) == cold[0]
+    assert TR._eval_unit_draws.cache_info().misses == misses + 1
+    assert [run(cell) for cell in cells] == cold
+    # an np.int64 seed reads the entry of the plain int
+    run(first)
+    hits = TR._eval_unit_draws.cache_info().hits
+    assert run(first[:4] + (np.int64(first[4]),)) == cold[0]
+    assert TR._eval_unit_draws.cache_info().hits == hits + 1
+
+
+def test_cached_eval_draws_are_read_only():
+    units = TR._eval_unit_draws(3, ChannelKind.RAYLEIGH, 10, 4, 5)
+    assert [u.noise.shape for u in units] == [(4, 5), (4, 5), (2, 5)]
+    rows = TR._eval_attacked_rows(3, 10, 4, 0.5)
+    for array in (units[0].noise, units[-1].fade, rows):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+
+
+@pytest.mark.parametrize("name,value", [
+    ("seed", True), ("seed", False), ("seed", 1.0), ("seed", -1), ("seed", "1"),
+    ("batch_size", True), ("batch_size", 8.0),
+])
+@pytest.mark.parametrize("warm", [False, True])
+def test_evaluate_rejects_a_bad_seed_or_batch_size_before_encoding(monkeypatch, name, value,
+                                                                   warm):
+    # seed=True used to run as seed 1, and seed=1.0 to fail inside numpy after encoding
+    data = _image_data(n=12)
+    bundle = ModelBundle(data.task, _dims_for(data), seed=2)
+    channel = ChannelConfig(ChannelKind.AWGN, 10.0)
+    attack = PerturbSpec(PerturbMethod.FGSM, radius=0.1, sample_fraction=0.5)
+    _clear_eval_caches()
+    if warm:   # cache entries at seed 1 and 0, batch size 1 and the default
+        for kwargs in ({"seed": 1}, {"seed": 0}, {"seed": 1, "batch_size": 1}):
+            evaluate(bundle, data, channel, attack, **kwargs)
+
+    def no_encoding(*_args, **_kwargs):
+        raise AssertionError("evaluate encoded before checking its arguments")
+
+    monkeypatch.setattr(M, "encode_signal", no_encoding)
+    with pytest.raises(ValueError, match=name):
+        evaluate(bundle, data, channel, attack, **{name: value})
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="batch_size"):
         TrainConfig(batch_size=0)
