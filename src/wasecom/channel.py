@@ -17,10 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .rules import check, ruled
 from .tensor import Tensor
 
 RAYLEIGH_SCALE = 1.0 / np.sqrt(2.0)
-SNR_CAP_DB = 200.0
+SNR_CAP_DB = 200.0  # far beyond, 10^(snr_db/10) overflows or underflows to 0
 
 
 class ChannelKind(str, enum.Enum):
@@ -30,15 +31,10 @@ class ChannelKind(str, enum.Enum):
 
 @dataclass
 class ChannelConfig:
-    kind: ChannelKind = ChannelKind.AWGN
-    snr_db: float = 10.0
+    kind: ChannelKind = ruled(ChannelKind, ChannelKind.AWGN)
+    snr_db: float = ruled(float, 10.0, least=-SNR_CAP_DB, most=SNR_CAP_DB)
 
-    def __post_init__(self):
-        self.kind = ChannelKind(self.kind)
-        if not np.isfinite(self.snr_db):
-            raise ValueError(f"snr_db must be finite, got {self.snr_db}")
-        if abs(self.snr_db) > SNR_CAP_DB:  # far beyond, 10^(snr_db/10) overflows or underflows to 0
-            raise ValueError(f"snr_db must lie in [-{SNR_CAP_DB:g}, {SNR_CAP_DB:g}], got {self.snr_db}")
+    __post_init__ = check
 
 
 @dataclass

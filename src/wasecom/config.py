@@ -4,28 +4,27 @@ Every run is described by one JSON document.  Parsing is schema-checked —
 unknown keys are rejected with their section named — and serialization is
 canonical (sorted keys, two-space indent), so `serialize(parse(text))` is a
 fixed point.  The JSON key "lambda" maps to the `lam` field because `lambda`
-is reserved in Python.  Each section's keys are its dataclass's fields, and
-each value must have the JSON type of its field's annotation.
+is reserved in Python.  Each section's keys are its dataclass's fields.  The
+kind and range of each field is declared once, in the field (`rules.py`): the
+parser holds each value to its field's kind, and the dataclass, built from
+JSON or from Python alike, holds it to the whole rule.
 """
 from __future__ import annotations
 
-import functools
 import json
-import math
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
-from types import UnionType
-from typing import get_args, get_type_hints
 
-from .channel import ChannelConfig
+from .channel import SNR_CAP_DB, ChannelConfig
 from .data import (Dataset, generate_synthetic_images, generate_synthetic_text,
                    ingest_cifar10_binary, ingest_text_lines)
 from .models import MAX_SEQ_LEN, MAX_VOCAB_SIZE, ModelDims, TaskKind
 from .objectives import RobustnessConfig
 from .perturb import PerturbSpec
-from .training import Mode, TrainConfig, default_dims
+from .rules import check, ruled, rules
+from .training import TrainConfig, default_dims
 
 
 class ConfigError(ValueError):
@@ -38,83 +37,65 @@ _FILE_KIND_TASK = {"cifar10": TaskKind.IMAGE, "text-lines": TaskKind.TEXT}
 
 @dataclass
 class DatasetSpec:
-    kind: str = "synthetic"      # synthetic | cifar10 | text-lines
-    n: int = 512
-    side: int = 8
-    vocab_size: int = 32
-    max_len: int = 12
-    path: str | None = None
+    kind: str = ruled(str, "synthetic")      # synthetic | cifar10 | text-lines
+    n: int = ruled(int, 512, least=1)
+    side: int = ruled(int, 8, least=2)
+    vocab_size: int = ruled(int, 32, least=2, most=MAX_VOCAB_SIZE)
+    max_len: int = ruled(int, 12, least=2, most=MAX_SEQ_LEN)
+    path: str | None = ruled(str, None)
 
     def __post_init__(self):
+        check(self)
         if self.kind != "synthetic" and self.kind not in _FILE_KIND_TASK:
             raise ValueError(f"kind must be synthetic, cifar10 or text-lines, got {self.kind!r}")
         if self.kind in _FILE_KIND_TASK and not self.path:
             raise ValueError(f"path is required for kind {self.kind!r}")
-        if self.n < 1:
-            raise ValueError(f"n must be at least 1, got {self.n}")
-        if self.side < 2:
-            raise ValueError(f"side must be at least 2, got {self.side}")
         if self.kind == "cifar10" and 32 % self.side:
             raise ValueError(f"side must divide 32 for kind 'cifar10', got {self.side}")
-        if not 2 <= self.vocab_size <= MAX_VOCAB_SIZE:
-            raise ValueError(f"vocab_size must be in 2..{MAX_VOCAB_SIZE}, got {self.vocab_size}")
-        if not 2 <= self.max_len <= MAX_SEQ_LEN:
-            raise ValueError(f"max_len must be in 2..{MAX_SEQ_LEN}, got {self.max_len}")
 
 
 @dataclass
 class ModelSpec:
-    semantic_dim: int | None = None   # None = derived from the dataset
-    signal_dim: int | None = None
-    hidden_dim: int | None = None
-    embed_dim: int = 8
+    semantic_dim: int | None = ruled(int, None, least=1)   # None = derived from the dataset
+    signal_dim: int | None = ruled(int, None, least=1)
+    hidden_dim: int | None = ruled(int, None, least=1)
+    embed_dim: int = ruled(int, 8, least=1)
 
-    def __post_init__(self):
-        for name in ("semantic_dim", "signal_dim", "hidden_dim", "embed_dim"):
-            size = getattr(self, name)
-            if size is not None and size <= 0:
-                raise ValueError(f"{name} must be positive, got {size}")
+    __post_init__ = check
 
 
 @dataclass
 class EvalPlan:
-    snr_db: list = field(default_factory=lambda: [0.0, 10.0, 20.0])
-    attack_eps: list = field(default_factory=lambda: [0.0, 0.1])
-    attack_fraction: float = 0.1
-    batch_size: int = 64
+    snr_db: list = ruled(list, factory=lambda: [0.0, 10.0, 20.0], least=-SNR_CAP_DB, most=SNR_CAP_DB)
+    attack_eps: list = ruled(list, factory=lambda: [0.0, 0.1], least=0.0)
+    attack_fraction: float = ruled(float, 0.1, least=0.0, most=1.0)
+    batch_size: int = ruled(int, 64, least=1)
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
-        if not 0.0 <= self.attack_fraction <= 1.0:
-            raise ValueError(f"attack_fraction must lie in [0, 1], got {self.attack_fraction}")
+        check(self)
         for name in ("snr_db", "attack_eps"):
-            values = getattr(self, name)
-            if len(values) == 0:
+            if not getattr(self, name):
                 raise ValueError(f"{name} must list at least one value")
-            if not all(math.isfinite(v) for v in values):
-                raise ValueError(f"{name} must be finite, got {values}")
-        if any(eps < 0 for eps in self.attack_eps):
-            raise ValueError(f"attack_eps radii must be nonnegative, got {self.attack_eps}")
-        for snr in self.snr_db:  # the channel's own range check
-            ChannelConfig(snr_db=snr)
 
 
 @dataclass
 class ExperimentConfig:
-    run_id: str = "run"
-    out_dir: str = "runs/run"
-    task: TaskKind = TaskKind.IMAGE
+    run_id: str = ruled(str, "run")
+    out_dir: str = ruled(str, "runs/run")
+    task: TaskKind = ruled(TaskKind, TaskKind.IMAGE)
     dataset: DatasetSpec = field(default_factory=DatasetSpec)
     model: ModelSpec = field(default_factory=ModelSpec)
     train: TrainConfig = field(default_factory=TrainConfig)
     eval_plan: EvalPlan = field(default_factory=EvalPlan)
 
     def __post_init__(self):
+        try:
+            check(self)
+        except ValueError as err:
+            raise ConfigError(f"top level: {err}") from None
         for name in ("run_id", "out_dir"):
-            value = getattr(self, name)
-            if not isinstance(value, str) or not value:
-                raise ConfigError(f"{name} must be a non-empty string, got {value!r}")
+            if not getattr(self, name):
+                raise ConfigError(f"{name} must be a non-empty string, got ''")
         task = _FILE_KIND_TASK.get(self.dataset.kind, self.task)
         if task is not self.task:
             raise ConfigError(f"dataset: kind {self.dataset.kind!r} holds {task.value} data, "
@@ -133,48 +114,29 @@ _JSON_KEY = {"lam": "lambda"}
 _FIELD = {key: name for name, key in _JSON_KEY.items()}
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-# the JSON type, as an error names it, and its test, for each field annotation
-_JSON_TYPES = {
-    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    float: ("a number", _is_number),
-    bool: ("true or false", lambda v: isinstance(v, bool)),
-    str: ("a string", lambda v: isinstance(v, str)),
-    list: ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))),
-    type(None): ("null", lambda v: v is None),
-}
-
-
-def _json_types(hint) -> list:
-    """The (name, test) of each JSON type a field annotated `hint` takes."""
-    if isinstance(hint, UnionType):  # X | None
-        return [t for arg in get_args(hint) for t in _json_types(arg)]
-    return [_JSON_TYPES[str if issubclass(hint, Enum) else hint]]  # enums by value
-
-
-def _checked(section: dict, name: str) -> dict:
+def _checked(section: dict, name: str, *classes) -> dict:
+    """`section` if it is a JSON object of known keys, each value of its field's kind."""
     if not isinstance(section, dict):
         raise ConfigError(f"{name} must be a JSON object")
     unknown = set(section) - _SECTION_KEYS[name]
     if unknown:
         raise ConfigError(f"unknown key(s) in {name}: {sorted(unknown)}")
     for key, value in section.items():
-        types = _key_types(name).get(key)
-        if types and not any(test(value) for _, test in types):
-            expected = " or ".join(type_name for type_name, _ in types)
-            raise ConfigError(f"{name}: {key} must be {expected}, got {value!r}")
+        for cls in classes:
+            rule = rules(cls).get(_FIELD.get(key, key))
+            error = rule and rule.kind_error(key, value)
+            if error:
+                raise ConfigError(f"{name}: {error}")
     return section
 
 
 def _parse_section(raw: dict, name: str, factory, **extra):
-    section = _checked(raw.get(name, {}), name)
+    section = _checked(raw.get(name, {}), name, factory)
     try:
         return factory(**{_FIELD.get(k, k): v for k, v in section.items()}, **extra)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"{name}: {err}") from err
+    except ValueError as err:  # a field's error names it by its JSON key
+        field_name, _, rest = str(err).partition(" ")
+        raise ConfigError(f"{name}: {_JSON_KEY.get(field_name, field_name)} {rest}") from err
 
 
 def read_config_json(source) -> dict:
@@ -186,7 +148,7 @@ def read_config_json(source) -> dict:
             source = json.loads(source)
         except json.JSONDecodeError as err:
             raise ConfigError(f"invalid JSON: {err}") from err
-    return _checked(source, "top level")
+    return _checked(source, "top level", ExperimentConfig, TrainConfig)
 
 
 def parse_config(source) -> ExperimentConfig:
@@ -194,21 +156,12 @@ def parse_config(source) -> ExperimentConfig:
     raw = read_config_json(source)
     sections = {name: _parse_section(raw, name, factory)
                 for name, factory in _TRAIN_SECTIONS.items()}
-    try:
-        mode = Mode(raw.get("mode", "wasecom"))
-    except ValueError as err:
-        raise ConfigError(f"mode: {err}") from err
-    try:
-        task = TaskKind(raw.get("task", "image"))
-    except ValueError as err:
-        raise ConfigError(f"task: {err}") from err
-
-    train = _parse_section(raw, "train", TrainConfig, seed=raw.get("seed", 0), mode=mode,
-                           **sections)
+    train = _parse_section(raw, "train", TrainConfig, seed=raw.get("seed", 0),
+                           mode=raw.get("mode", "wasecom"), **sections)
     return ExperimentConfig(
         run_id=raw.get("run_id", "run"),
         out_dir=raw.get("out_dir", "runs/run"),
-        task=task,
+        task=raw.get("task", "image"),
         dataset=_parse_section(raw, "dataset", DatasetSpec),
         model=_parse_section(raw, "model", ModelSpec),
         train=train,
@@ -248,21 +201,6 @@ def to_canonical_dict(cfg: ExperimentConfig) -> dict:
 _DEFAULT_CANONICAL = to_canonical_dict(ExperimentConfig())
 _SECTION_KEYS = {"top level": set(_DEFAULT_CANONICAL)} | {
     name: set(section) for name, section in _DEFAULT_CANONICAL.items() if isinstance(section, dict)}
-
-
-_SECTION_CLASSES = {"top level": (TrainConfig, ExperimentConfig), "dataset": (DatasetSpec,),
-                    "model": (ModelSpec,), "train": (TrainConfig,), "eval": (EvalPlan,),
-                    **{name: (cls,) for name, cls in _TRAIN_SECTIONS.items()}}
-
-
-@functools.cache  # evaluating the annotations takes about 1 ms; no import should pay it
-def _key_types(name: str) -> dict:
-    """The JSON types of each key of a section that holds a value, from its
-    field's annotation; a key that holds a section is checked as a section."""
-    hints = {_JSON_KEY.get(k, k): hint
-             for cls in _SECTION_CLASSES[name] for k, hint in get_type_hints(cls).items()}
-    return {key: _json_types(hint) for key, hint in hints.items()
-            if key in _SECTION_KEYS[name] and key not in _SECTION_KEYS}
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import tensor as T
 from .channel import ChannelRealization, apply_realization
+from .rules import check, ruled
 from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"WSCBUNDL"
@@ -41,29 +42,21 @@ class TaskKind(str, enum.Enum):
 
 @dataclass
 class ModelDims:
-    input_dim: int          # image: side*side pixels; text: seq_len * embed_dim
-    semantic_dim: int
-    signal_dim: int
-    hidden_dim: int
-    vocab_size: int = 0     # text only
-    seq_len: int = 0        # text only
-    embed_dim: int = 0      # text only
+    input_dim: int = ruled(int, least=1)    # image: side*side pixels; text: seq_len * embed_dim
+    semantic_dim: int = ruled(int, least=1)
+    signal_dim: int = ruled(int, least=1)
+    hidden_dim: int = ruled(int, least=1)
+    vocab_size: int = ruled(int, 0, least=0, most=MAX_VOCAB_SIZE)   # text only
+    seq_len: int = ruled(int, 0, least=0, most=MAX_SEQ_LEN)         # text only
+    embed_dim: int = ruled(int, 0, least=0)                         # text only
 
     def __post_init__(self):
-        for field in ("input_dim", "semantic_dim", "signal_dim", "hidden_dim"):
-            if getattr(self, field) <= 0:
-                raise ValueError(f"{field} must be positive")
-        if self.vocab_size:
-            if self.vocab_size > MAX_VOCAB_SIZE:
-                raise ValueError(f"vocab_size capped at {MAX_VOCAB_SIZE}, got {self.vocab_size}")
-            if not (0 < self.seq_len <= MAX_SEQ_LEN):
-                raise ValueError(f"seq_len must be in 1..{MAX_SEQ_LEN}, got {self.seq_len}")
-            if self.embed_dim <= 0:
-                raise ValueError("embed_dim must be positive for text")
-            if self.semantic_dim % self.seq_len:
-                raise ValueError("semantic_dim must be divisible by seq_len for per-position vectors")
+        check(self)
+        if self.vocab_size:  # a positive input_dim makes seq_len and embed_dim positive
             if self.input_dim != self.seq_len * self.embed_dim:
                 raise ValueError("text input_dim must equal seq_len * embed_dim")
+            if self.semantic_dim % self.seq_len:
+                raise ValueError("semantic_dim must be divisible by seq_len for per-position vectors")
 
     @property
     def pos_semantic_dim(self) -> int:

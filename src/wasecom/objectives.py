@@ -23,31 +23,22 @@ from . import models as M
 from . import tensor as T
 from .channel import ChannelConfig, ChannelRealization, realization_for, transmit
 from .perturb import PerturbMethod, PerturbSpec, fgsm, gaussian_samples, pgd
+from .rules import check, ruled
 from .tensor import Tensor
 
 
 @dataclass
 class RobustnessConfig:
-    rho: float = 0.0            # source-side ball radius
-    mu: float = 0.0             # signal-side ball radius
-    lam: float = 1.0            # inner dual variable
-    gamma: float = 1.0          # outer dual variable
-    epsilon_temp: float = 1.0   # LSE temperature
-    use_lse: bool = False
-    lambda_learnable: bool = True
+    # each finite: an infinite radius or dual variable makes the penalty lam * rho^2 inf or NaN
+    rho: float = ruled(float, 0.0, least=0.0)             # source-side ball radius
+    mu: float = ruled(float, 0.0, least=0.0)              # signal-side ball radius
+    lam: float = ruled(float, 1.0, least=0.0)             # inner dual variable
+    gamma: float = ruled(float, 1.0, least=0.0)           # outer dual variable
+    epsilon_temp: float = ruled(float, 1.0, above=0.0)    # LSE temperature
+    use_lse: bool = ruled(bool, False)
+    lambda_learnable: bool = ruled(bool, True)
 
-    def __post_init__(self):
-        # an infinite radius or dual variable makes the penalty lam * rho^2 inf or NaN
-        for name in ("rho", "mu", "lam", "gamma", "epsilon_temp"):
-            value = getattr(self, name)
-            if not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        for name in ("rho", "mu", "lam", "gamma"):
-            value = getattr(self, name)
-            if value < 0:
-                raise ValueError(f"{name} must be nonnegative, got {value}")
-        if self.epsilon_temp <= 0:
-            raise ValueError(f"epsilon_temp must be positive, got {self.epsilon_temp}")
+    __post_init__ = check
 
 
 @dataclass

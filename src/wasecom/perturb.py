@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rules import check, ruled
 from .tensor import Tensor
 
 _NORM_FLOOR = 1e-12
@@ -25,25 +26,14 @@ class PerturbMethod(str, enum.Enum):
 
 @dataclass
 class PerturbSpec:
-    method: PerturbMethod = PerturbMethod.NONE
-    radius: float = 0.0          # L2 budget per sample; inf = unconstrained
-    epsilon_inf: float = 0.01    # FGSM step in the max norm
-    steps: int = 7
-    sample_count: int = 8        # Gaussian smoothing draws
-    sample_fraction: float = 1.0  # share of eval rows attacked; training attacks all
+    method: PerturbMethod = ruled(PerturbMethod, PerturbMethod.NONE)
+    radius: float = ruled(float, 0.0, least=0.0, finite=False)  # L2 budget; inf = unconstrained
+    epsilon_inf: float = ruled(float, 0.01, least=0.0)   # FGSM step in the max norm
+    steps: int = ruled(int, 7, least=1)
+    sample_count: int = ruled(int, 8, least=1)           # Gaussian smoothing draws
+    sample_fraction: float = ruled(float, 1.0, least=0.0, most=1.0)  # share of eval rows attacked
 
-    def __post_init__(self):
-        self.method = PerturbMethod(self.method)
-        if not self.radius >= 0:  # inf is legal, NaN is not
-            raise ValueError(f"radius must be nonnegative, got {self.radius}")
-        if not 0.0 <= self.sample_fraction <= 1.0:
-            raise ValueError(f"sample_fraction must be in [0, 1], got {self.sample_fraction}")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if self.sample_count < 1:
-            raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
-        if not np.isfinite(self.epsilon_inf) or self.epsilon_inf < 0:
-            raise ValueError(f"epsilon_inf must be finite and nonnegative, got {self.epsilon_inf}")
+    __post_init__ = check
 
 
 def project_ball(x_tilde: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:

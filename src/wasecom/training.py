@@ -33,6 +33,7 @@ from .objectives import (DualObjectiveValue, RobustnessConfig, clean_inner_loss,
                          clean_outer_loss, inner_dual_loss, outer_dual_loss, update_duals)
 from .optim import Adam
 from .perturb import PerturbMethod, PerturbSpec, attacked_row_mask, fgsm, pgd
+from .rules import check, ruled, rules
 from .tensor import Tensor
 
 
@@ -56,22 +57,15 @@ def _stream(seed: int, tag: int, *rest: int) -> np.random.Generator:
     return np.random.default_rng([seed, tag, *rest])
 
 
-def _require_int(name: str, value, least: int):
-    """Raise a ValueError naming `name` unless `value` is an integer, not a bool, >= least."""
-    if type(value) is bool or not isinstance(value, (int, np.integer)) or value < least:
-        what = "a nonnegative integer" if least == 0 else f"an integer of at least {least}"
-        raise ValueError(f"{name} must be {what}, got {value!r}")
-
-
 @dataclass
 class TrainConfig:
-    epochs: int = 2
-    batch_size: int = 32
-    lr: float = 1e-3
-    seed: int = 0
-    mode: Mode = Mode.WASECOM
-    dual_lr: float = 0.01
-    checkpoint_every: int = 0
+    epochs: int = ruled(int, 2, least=0)
+    batch_size: int = ruled(int, 32, least=1)
+    lr: float = ruled(float, 1e-3, least=0.0)
+    seed: int = ruled(int, 0, least=0)
+    mode: Mode = ruled(Mode, Mode.WASECOM)
+    dual_lr: float = ruled(float, 0.01, least=0.0)
+    checkpoint_every: int = ruled(int, 0, least=0)
     robustness: RobustnessConfig = field(default_factory=RobustnessConfig)
     channel: ChannelConfig = field(default_factory=lambda: ChannelConfig(ChannelKind.AWGN, 10.0))
     perturb_inner: PerturbSpec = field(
@@ -80,17 +74,7 @@ class TrainConfig:
         default_factory=lambda: PerturbSpec(PerturbMethod.FGSM, radius=0.1))
 
     def __post_init__(self):
-        _require_int("seed", self.seed, 0)
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        if self.epochs < 0:
-            raise ValueError("epochs must be nonnegative")
-        if self.checkpoint_every < 0:
-            raise ValueError(f"checkpoint_every must be nonnegative, got {self.checkpoint_every}")
-        if not np.isfinite(self.lr) or self.lr < 0:
-            raise ValueError("lr must be finite and nonnegative")
-        if not np.isfinite(self.dual_lr) or self.dual_lr < 0:
-            raise ValueError("dual_lr must be finite and nonnegative")
+        check(self)
         # the LSE objective reads only Gaussian draws, and only it reads them
         gaussian = [spec.method is PerturbMethod.GAUSSIAN
                     for spec in (self.perturb_inner, self.perturb_outer)]
@@ -350,8 +334,8 @@ def evaluate(bundle: ModelBundle, data: Dataset, channel_cfg: ChannelConfig,
     the records are those of fresh draws.  A grid of cells saves the repeated
     draws; a single cell, such as `wasecom eval`, gains nothing.
     """
-    _require_int("seed", seed, 0)
-    _require_int("batch_size", batch_size, 1)
+    for name, value in (("seed", seed), ("batch_size", batch_size)):
+        rules(TrainConfig)[name].check(name, value)
     seed = int(seed)  # an np.int64 seed shares the plain int's cache entries
     task, samples = bundle.task, data.eval  # Dataset has checked the split's shape and ids
     if data.task is not task:

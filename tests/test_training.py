@@ -325,6 +325,18 @@ def test_dispatcher_routes_by_mode():
     assert all(r.penalty > 0.0 for r in log_w.records)
 
 
+@pytest.mark.parametrize("mode", ["wasecom", "erm"])
+def test_a_mode_given_as_its_string_trains_as_its_member(mode):
+    # mode="wasecom" once trained silently as ERM: penalty 0.0 and lambda 1.0 throughout
+    data = _image_data(n=16)
+    rob = RobustnessConfig(rho=0.5, mu=0.1)
+    logs = [train(_cfg(mode=given, robustness=rob), data)[1] for given in (mode, Mode(mode))]
+    by_string, by_member = ([dataclasses.replace(r, wall_ms=0.0) for r in log.records]
+                            for log in logs)
+    assert by_string == by_member
+    assert any(r.penalty > 0.0 for r in by_member) == (mode == "wasecom")
+
+
 def test_checkpoint_cadence(tmp_path):
     data = _image_data(n=32)  # 24 train samples -> 3 steps per epoch
     cfg = _cfg(epochs=2, batch_size=8, checkpoint_every=2, mode=Mode.ERM)
