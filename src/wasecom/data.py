@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .models import TaskKind
+from .rules import rules
 
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3 * 32 * 32 pixel bytes
 
@@ -75,12 +76,16 @@ def _pattern(rng: np.random.Generator, xx: np.ndarray, yy: np.ndarray) -> np.nda
     return np.sin(2.0 * np.pi * freq * (xx * np.cos(theta) + yy * np.sin(theta)) + phase)
 
 
+def _check_sizes(**sizes):
+    """Hold each size to its field's rule in a config's dataset section."""
+    from .config import DatasetSpec  # config builds its datasets with this module
+    for name, value in sizes.items():
+        rules(DatasetSpec)[name].check(name, value)
+
+
 def generate_synthetic_images(n: int, side: int = 8, seed: int = 0) -> Dataset:
     """n procedurally drawn side x side grayscale patterns, values in [0, 1]."""
-    if n <= 0:
-        raise ValueError("need at least one sample")
-    if side < 2:
-        raise ValueError("side must be at least 2")
+    _check_sizes(n=n, side=side)
     rng = np.random.default_rng([seed, 101])
     axis = np.linspace(0.0, 1.0, side)
     xx, yy = np.meshgrid(axis, axis)
@@ -110,10 +115,7 @@ def generate_synthetic_text(n: int, vocab_size: int = 32, max_len: int = 12,
     entries at or below its uniform.  This is what `rng.choice(vocab_size, p=...)`
     computes per call, so the stream and the tokens are those of a per-token loop.
     """
-    if n <= 0:
-        raise ValueError("need at least one sample")
-    if vocab_size < 2 or max_len < 2:
-        raise ValueError("vocab_size and max_len must be at least 2")
+    _check_sizes(n=n, vocab_size=vocab_size, max_len=max_len)
     rng = np.random.default_rng([seed, 202])
     # concentration << 1 makes each token prefer a handful of successors,
     # giving the sequences learnable structure

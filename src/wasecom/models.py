@@ -10,6 +10,10 @@ A bundle holds four disjoint parameter groups:
 The inner training phase owns the semantic codec (encoder + decoder), the
 outer phase owns the channel codec; keeping the groups disjoint is what makes
 the alternating updates well defined.
+
+A text code is one semantic-encoder output per position, so a graph-free pass
+encodes each vocabulary entry once and gathers the codes by token id: the bytes
+of encoding every position, as each row of x @ w depends on its own row alone.
 """
 from __future__ import annotations
 
@@ -33,6 +37,8 @@ _POWER_EPS = 1e-12
 # text task bounds, shared by ModelDims and the config's dataset section
 MAX_VOCAB_SIZE = 64
 MAX_SEQ_LEN = 16
+# what a text semantic code depends on: the embedding table and the semantic encoder
+_TEXT_SOURCE_PARAMS = ("embed", "sem_enc.w0", "sem_enc.b0", "sem_enc.w1", "sem_enc.b1")
 
 
 class TaskKind(str, enum.Enum):
@@ -169,8 +175,19 @@ def semantic_encode_from_embeddings(bundle: ModelBundle, emb_flat: Tensor) -> Te
 
 
 def semantic_encode(bundle: ModelBundle, x) -> Tensor:
+    """Images (B, input_dim) or token ids (B, T) to the (B, semantic_dim) code.
+
+    Text gathers per-token codes into a graph-free Tensor when no parameter of
+    `_TEXT_SOURCE_PARAMS` is live (the outer phase's target, the inner phase's
+    power probe, evaluation), and otherwise encodes each position on the tape.
+    """
     if bundle.task is TaskKind.TEXT:
-        return semantic_encode_from_embeddings(bundle, embed_tokens(bundle, x))
+        p = bundle.params
+        if any(p[name].requires_grad for name in _TEXT_SOURCE_PARAMS):
+            return semantic_encode_from_embeddings(bundle, embed_tokens(bundle, x))
+        ids = np.asarray(x)
+        codes = _network(bundle, "sem_enc", p["embed"]).data[ids]
+        return Tensor(codes.reshape(len(ids), bundle.dims.semantic_dim))
     x = x if isinstance(x, Tensor) else Tensor(x)
     return _network(bundle, "sem_enc", x)
 

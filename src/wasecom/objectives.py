@@ -157,7 +157,7 @@ def inner_dual_loss(bundle, x, channel_cfg: ChannelConfig, rob: RobustnessConfig
     frozen = bundle.frozen()
     is_text = bundle.task is M.TaskKind.TEXT
     center = M.embed_tokens(bundle, x) if is_text else Tensor(np.asarray(x, dtype=float))
-    u0 = M.encode_signal(frozen, Tensor(center.data))
+    u0 = M.channel_encode(frozen, M.semantic_encode(frozen, x))
     realization = realization_for(channel_cfg, u0.data, rng)
 
     def loss_at(view, points: Tensor, k: int) -> Tensor:

@@ -294,19 +294,22 @@ def _eval_attacked_rows(seed: int, rows: int, batch_size: int, fraction: float) 
     return picked
 
 
-def _attack_rows(frozen: ModelBundle, samples, centers: np.ndarray,
-                 realization: ChannelRealization, attack: PerturbSpec, rows: np.ndarray):
+def _attack_rows(frozen: ModelBundle, samples, realization: ChannelRealization,
+                 attack: PerturbSpec, rows: np.ndarray):
     """The attacked inputs of `rows`, each row against its own channel draw.
 
     Every per-sample loss depends on its own row alone, so the attack runs on
-    those rows' slice of the inputs, references and realization.
+    those rows' slice of the inputs (pixels, or the tokens' embeddings),
+    references and realization.
     """
     sub = ChannelRealization(h=realization.h[rows], w=realization.w[rows])
     ref = samples[rows]
+    center = (M.embed_tokens(frozen, ref).data if frozen.task is TaskKind.TEXT
+              else np.asarray(ref, dtype=float))
     loss_fn = lambda leaf: M.per_sample_reconstruction_loss(
         frozen, ref, M.pipeline(frozen, leaf, sub))
     runner = pgd if attack.method is PerturbMethod.PGD else fgsm
-    return runner(loss_fn, centers[rows], attack)
+    return runner(loss_fn, center, attack)
 
 
 def evaluate(bundle: ModelBundle, data: Dataset, channel_cfg: ChannelConfig,
@@ -315,10 +318,13 @@ def evaluate(bundle: ModelBundle, data: Dataset, channel_cfg: ChannelConfig,
     """Run the frozen pipeline over a dataset's eval split and aggregate metrics.
 
     The whole split is encoded once, attacked once and decoded once, so memory
-    grows with the split.  `batch_size` sets the granularity of everything
-    drawn or summed: each batch of rows gets its own channel realization, from
-    its own clean signal power, and its own seeded choice of attacked rows,
-    and the metric sums run batch by batch.  The clean and attacked passes
+    grows with the split.  The clean text encode runs the semantic encoder
+    once per vocabulary entry (`models.semantic_encode` on the frozen view),
+    and only the attacked rows are embedded, as the attack's starting points.
+    `batch_size` sets the granularity of everything drawn or summed: each
+    batch of rows gets its own channel realization, from its own clean signal
+    power, and its own seeded choice of attacked rows, and the metric sums run
+    batch by batch.  The clean and attacked passes
     share the realization, so the attack measures input sensitivity rather
     than noise luck.  For text the `mse` column carries the mean token NLL.
     The bundle's parameters are never written: all passes run on its frozen
@@ -353,11 +359,7 @@ def evaluate(bundle: ModelBundle, data: Dataset, channel_cfg: ChannelConfig,
     side = int(round(np.sqrt(bundle.dims.input_dim)))
     has_ssim = task is TaskKind.IMAGE and side * side == bundle.dims.input_dim
 
-    if task is TaskKind.IMAGE:
-        centers = np.asarray(samples, dtype=float)
-    else:
-        centers = M.embed_tokens(frozen, samples).data
-    u0 = M.encode_signal(frozen, Tensor(centers))
+    u0 = M.channel_encode(frozen, M.semantic_encode(frozen, samples))
     units = _eval_unit_draws(seed, channel_cfg.kind, n, batch_size, bundle.dims.signal_dim)
     draws = [scale_units(channel_cfg, unit, signal_power(u0.data[start:start + batch_size]))
              for unit, start in zip(units, starts)]
@@ -367,7 +369,7 @@ def evaluate(bundle: ModelBundle, data: Dataset, channel_cfg: ChannelConfig,
     if _attacking(attack):
         rows = _eval_attacked_rows(seed, n, batch_size, attack.sample_fraction)
         if len(rows):  # re-encode the attacked rows only, into a copy of the clean signal
-            attacked = _attack_rows(frozen, samples, centers, realization, attack, rows)
+            attacked = _attack_rows(frozen, samples, realization, attack, rows)
             signal = u0.data.copy()
             signal[rows] = M.encode_signal(frozen, Tensor(attacked)).data
             u = Tensor(signal)

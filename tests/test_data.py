@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from wasecom import data as D
-from wasecom.models import TaskKind
+from wasecom.config import DatasetSpec
+from wasecom.models import MAX_SEQ_LEN, TaskKind
 
 
 def test_images_range_shape_and_determinism():
@@ -30,10 +31,28 @@ def test_images_have_structure():
 
 
 def test_empty_request_is_rejected():
-    with pytest.raises(ValueError, match="at least one"):
+    with pytest.raises(ValueError, match="n must be at least 1"):
         D.generate_synthetic_images(0)
-    with pytest.raises(ValueError, match="at least one"):
+    with pytest.raises(ValueError, match="n must be at least 1"):
         D.generate_synthetic_text(0)
+
+
+@pytest.mark.parametrize("make,sizes", [
+    (D.generate_synthetic_images, {"n": True}),
+    (D.generate_synthetic_images, {"n": 8.0}),
+    (D.generate_synthetic_images, {"n": 8, "side": 1}),
+    (D.generate_synthetic_text, {"n": -2}),
+    (D.generate_synthetic_text, {"n": 8, "vocab_size": 100}),
+    (D.generate_synthetic_text, {"n": 8, "vocab_size": 2.0}),
+    (D.generate_synthetic_text, {"n": 8, "max_len": MAX_SEQ_LEN + 1}),
+], ids=["images-n-bool", "images-n-float", "images-side-1", "text-n-negative",
+        "text-vocab-100", "text-vocab-float", "text-max-len-17"])
+def test_generators_reject_sizes_as_the_dataset_section_does(make, sizes):
+    with pytest.raises(ValueError) as spec_error:
+        DatasetSpec(**sizes)
+    with pytest.raises(ValueError, match=f"^{list(sizes)[-1]} must") as error:
+        make(**sizes)
+    assert str(error.value) == str(spec_error.value)
 
 
 def test_single_sample_fills_both_splits():

@@ -81,6 +81,59 @@ def test_pipeline_equals_the_numpy_reference(make):
     assert np.array_equal(out.data, reference_pipeline(b, inputs, realization))
 
 
+def audit_text_bundle(vocab, seed=0):
+    """The text model sizes `default_dims` gives an 8-token dataset."""
+    dims = M.ModelDims(input_dim=64, semantic_dim=32, signal_dim=32, hidden_dim=64,
+                       vocab_size=vocab, seq_len=8, embed_dim=8)
+    return M.ModelBundle(M.TaskKind.TEXT, dims, seed=seed)
+
+
+def _token_batches(vocab, batch, rng):
+    """Uniform ids, ids from a quarter of the vocabulary, and one repeated id."""
+    yield rng.integers(0, vocab, size=(batch, 8))
+    yield rng.choice(rng.permutation(vocab)[:vocab // 4], size=(batch, 8))
+    yield np.full((batch, 8), rng.integers(vocab))
+
+
+@pytest.mark.parametrize("batch", [1, 32, 128])
+@pytest.mark.parametrize("vocab", [8, 32])
+def test_frozen_text_encode_equals_the_per_row_encode(monkeypatch, vocab, batch):
+    # the frozen view encodes each vocabulary entry once, with no per-row embedding
+    # lookup; the per-row path is the oracle
+    embed_tokens = M.embed_tokens
+    monkeypatch.setattr(M, "embed_tokens", None)
+    rng = np.random.default_rng([vocab, batch])
+    for seed in range(3):
+        frozen = audit_text_bundle(vocab, seed=seed).frozen()
+        for ids in _token_batches(vocab, batch, rng):
+            s = M.semantic_encode(frozen, ids)
+            per_row = M.semantic_encode_from_embeddings(frozen, embed_tokens(frozen, ids))
+            assert s.shape == per_row.shape == (batch, 32) and s.data.dtype == np.float64
+            assert s.data.tobytes() == per_row.data.tobytes()
+            assert s._parents == () and not s.requires_grad
+
+
+@pytest.mark.parametrize("live", ["semantic", "embed", "sem_enc.b1"])
+def test_text_encode_with_a_live_source_param_keeps_the_per_row_graph(live):
+    # any live embedding or semantic-encoder parameter takes the per-row path,
+    # whose weight gradients sum over every (row, position) pair
+    ids = np.random.default_rng(3).integers(0, 32, size=(16, 8))
+    weights = np.random.default_rng(4).normal(size=(16, 32))
+    grads = []
+    for per_row in (True, False):
+        bundle = audit_text_bundle(32, seed=5)
+        view = bundle.view(bundle.semantic_params() if live == "semantic"
+                           else [bundle.params[live]])
+        s = (M.semantic_encode_from_embeddings(view, M.embed_tokens(view, ids)) if per_row
+             else M.semantic_encode(view, ids))
+        assert s._parents
+        (s * Tensor(weights)).sum().backward()
+        grads.append((s.data.tobytes(), {name: p.grad.tobytes() for name, p in bundle.params.items()
+                                         if name == "embed" or name.startswith("sem_enc.")}))
+    assert grads[0] == grads[1]
+    assert any(g != bytes(len(g)) for g in grads[1][1].values())
+
+
 def test_cross_entropy_uniform_logits_is_log_vocab():
     b = text_bundle()
     ids = np.zeros((2, 12), dtype=int)

@@ -670,7 +670,7 @@ def test_evaluate_rejects_a_bad_seed_or_batch_size_before_encoding(monkeypatch, 
     def no_encoding(*_args, **_kwargs):
         raise AssertionError("evaluate encoded before checking its arguments")
 
-    monkeypatch.setattr(M, "encode_signal", no_encoding)
+    monkeypatch.setattr(M, "semantic_encode", no_encoding)
     with pytest.raises(ValueError, match=name):
         evaluate(bundle, data, channel, attack, **{name: value})
 
