@@ -27,7 +27,7 @@ from .metrics import MetricsRecord
 from .models import load_checkpoint, save_checkpoint
 from .ot import bundled_instances, check_lemma1, grid_1d, run_theory_suite
 from .perturb import PerturbMethod, PerturbSpec
-from .training import evaluate, train
+from .training import TRAIN_LOG_HEADER, evaluate, train
 
 log = logging.getLogger("wasecom")
 
@@ -196,7 +196,7 @@ def _run_inputs(args):
     log.info("training mode=%s on %d samples", cfg.train.mode.value, len(data.train))
     bundle, train_log = train(cfg.train, data, dims=model_dims(cfg, data), checkpoint_dir=out)
     save_checkpoint(bundle, out / "model.ckpt")
-    train_log.write_csv(out / "train_log.csv")
+    _write_csv(out / "train_log.csv", TRAIN_LOG_HEADER, [r.csv_row() for r in train_log.records])
     return cfg, out, data, bundle
 
 

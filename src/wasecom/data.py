@@ -142,6 +142,7 @@ def ingest_cifar10_binary(path, side: int = 16) -> Dataset:
     Pixels are scaled to [0, 1], averaged to grayscale, and block-downsampled
     to side x side.  Truncated files fail with the byte offset of the bad record.
     """
+    _check_sizes(side=side)
     raw = Path(path).read_bytes()
     if len(raw) == 0:
         raise ValueError(f"{path}: empty file")
@@ -165,6 +166,7 @@ def ingest_cifar10_binary(path, side: int = 16) -> Dataset:
 def ingest_text_lines(path, vocab, max_len: int = 16) -> Dataset:
     """Whitespace-tokenized lines mapped through `vocab`; id 0 is the unknown
     (and padding) slot, so vocab[0] should name it."""
+    _check_sizes(max_len=max_len)
     index = {tok: i for i, tok in enumerate(vocab)}
     lines = Path(path).read_text().splitlines()
     seqs = []
@@ -177,5 +179,6 @@ def ingest_text_lines(path, vocab, max_len: int = 16) -> Dataset:
         seqs.append(ids)
     if not seqs:
         raise ValueError(f"{path}: no usable lines")
+    _check_sizes(vocab_size=len(vocab))
     train, evalp = _split(np.array(seqs, dtype=np.int64))
     return Dataset(TaskKind.TEXT, train, evalp, vocab_size=len(vocab))

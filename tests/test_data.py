@@ -55,6 +55,29 @@ def test_generators_reject_sizes_as_the_dataset_section_does(make, sizes):
     assert str(error.value) == str(spec_error.value)
 
 
+@pytest.mark.parametrize("kind,sizes", [
+    ("text-lines", {"max_len": True}),
+    ("text-lines", {"vocab_size": 126}),
+    ("cifar10", {"side": True}),
+], ids=["text-lines-max-len-bool", "text-lines-vocab-126", "cifar10-side-bool"])
+def test_ingesters_reject_sizes_as_the_dataset_section_does(tmp_path, kind, sizes):
+    with pytest.raises(ValueError) as spec_error:
+        DatasetSpec(**sizes)
+    if kind == "cifar10":
+        path = tmp_path / "batch.bin"
+        _write_cifar_fixture(path, 1)
+        ingest = lambda: D.ingest_cifar10_binary(path, **sizes)  # noqa: E731
+    else:
+        path = tmp_path / "lines.txt"
+        path.write_text("w1 w2 w3\nw2 w4\n")
+        vocab = ["<unk>", *(f"w{i}" for i in range(1, sizes.get("vocab_size", 5)))]
+        max_len = sizes.get("max_len", 4)
+        ingest = lambda: D.ingest_text_lines(path, vocab, max_len=max_len)  # noqa: E731
+    with pytest.raises(ValueError, match=f"^{list(sizes)[0]} must") as error:
+        ingest()
+    assert str(error.value) == str(spec_error.value)
+
+
 def test_single_sample_fills_both_splits():
     ds = D.generate_synthetic_images(1, side=4, seed=0)
     assert np.array_equal(ds.train, ds.eval)

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from wasecom import models as M
+from wasecom import perturb as P
 from wasecom.perturb import (
     PerturbMethod,
     PerturbSpec,
+    attack,
     attacked_row_mask,
     fgsm,
     gaussian_samples,
@@ -172,6 +174,44 @@ def test_gaussian_seeded_determinism():
     a = gaussian_samples(x, spec, np.random.default_rng(9))
     b = gaussian_samples(x, spec, np.random.default_rng(9))
     assert all(np.array_equal(u, v) for u, v in zip(a, b))
+
+
+@pytest.mark.parametrize("spec", [PerturbSpec(method="none", radius=0.3),
+                                  PerturbSpec(method="gaussian", radius=0.3),
+                                  PerturbSpec(method="fgsm", radius=0.0),
+                                  PerturbSpec(method="pgd", radius=0.0)],
+                         ids=["none", "gaussian", "fgsm-radius-0", "pgd-radius-0"])
+def test_attack_without_a_search_copies_x_and_scores_nothing(spec):
+    def never(leaf):
+        raise AssertionError("loss_fn called")
+
+    x = np.random.default_rng(30).normal(size=(4, 3))
+    out = attack(never, x, spec)
+    assert out is not x and not np.shares_memory(out, x)
+    assert out.tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("spec", [PerturbSpec(method="fgsm", radius=0.3, epsilon_inf=0.2),
+                                  PerturbSpec(method="fgsm", radius=np.inf, epsilon_inf=0.2),
+                                  PerturbSpec(method="pgd", radius=0.3, steps=4),
+                                  PerturbSpec(method="pgd", radius=np.inf, steps=2)],
+                         ids=["fgsm", "fgsm-inf", "pgd", "pgd-inf"])
+def test_attack_runs_the_spec_search(spec):
+    x = np.random.default_rng(31).normal(size=(5, 3))
+    loss = lambda t: (t * t).sum(axis=1) + linear_loss(np.arange(3.0))(t)  # noqa: E731
+    search = fgsm if spec.method is PerturbMethod.FGSM else pgd
+    assert attack(loss, x, spec).tobytes() == search(loss, x, spec).tobytes()
+
+
+@pytest.mark.parametrize("method", ["fgsm", "pgd"])
+def test_attack_looks_up_its_search_per_call(monkeypatch, method):
+    # a wrapper bound over perturb.fgsm or perturb.pgd sees every search
+    calls = []
+    monkeypatch.setattr(P, method, lambda loss_fn, x, spec: calls.append(spec) or x + 1.0)
+    x = np.zeros((2, 3))
+    spec = PerturbSpec(method=method, radius=0.5)
+    assert np.array_equal(attack(linear_loss([1.0, 0.0, 0.0]), x, spec), x + 1.0)
+    assert calls == [spec]
 
 
 def test_attack_leaves_model_gradients_untouched():
