@@ -66,21 +66,33 @@ def _ssim_per_image(x, y, max_val: float, window: int) -> np.ndarray:
         raise ValueError(f"window {window} exceeds image side {min(h, w)}")
     c1 = (0.01 * max_val) ** 2
     c2 = (0.03 * max_val) ** 2
+    k = window * window
     vals = []
     for i in range(h - window + 1):
-        for j in range(w - window + 1):
-            px = x[:, i:i + window, j:j + window].reshape(n, -1)
-            py = y[:, i:i + window, j:j + window].reshape(n, -1)
-            ux, uy = px.mean(axis=1), py.mean(axis=1)
-            vx = ((px - ux[:, None]) ** 2).mean(axis=1)
-            vy = ((py - uy[:, None]) ** 2).mean(axis=1)
-            cov = ((px - ux[:, None]) * (py - uy[:, None])).mean(axis=1)
-            num = (2 * ux * uy + c1) * (2 * cov + c2)
-            den = (ux**2 + uy**2 + c1) * (vx + vy + c2)
-            vals.append(num / den)
+        # every window of this window row at once: (n, windows, k), each window's
+        # pixels contiguous in row-major order, so each sum runs as a single
+        # window's would
+        px, py = (_window_row(img[:, i:i + window]) for img in (x, y))
+        ux, uy = np.add.reduce(px, 2) / k, np.add.reduce(py, 2) / k
+        dx, dy = px - ux[..., None], py - uy[..., None]
+        vx = np.add.reduce(dx * dx, 2) / k
+        vy = np.add.reduce(dy * dy, 2) / k
+        cov = np.add.reduce(dx * dy, 2) / k
+        num = (2 * ux * uy + c1) * (2 * cov + c2)
+        den = (ux**2 + uy**2 + c1) * (vx + vy + c2)
+        vals.append(num / den)
     # one contiguous row of window values per image, reduced in the same
     # (pairwise) order as a single image's call
-    return np.stack(vals, axis=1).mean(axis=1)
+    return np.concatenate(vals, axis=1).mean(axis=1)
+
+
+def _window_row(slab: np.ndarray) -> np.ndarray:
+    """The (n, w - window + 1, window^2) square windows of an (n, window, w) slab, left to right."""
+    n, window, w = slab.shape
+    if window == w:
+        return slab.reshape(n, 1, window * window)
+    views = np.lib.stride_tricks.sliding_window_view(slab, window, axis=2)  # (n, window, j, window)
+    return views.transpose(0, 2, 1, 3).reshape(n, -1, window * window)
 
 
 def bleu(candidate, references, max_n: int = 4, smooth: float = 1e-9) -> float:

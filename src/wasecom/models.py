@@ -241,9 +241,7 @@ def per_sample_reconstruction_loss(bundle: ModelBundle, reference, output: Tenso
     """Per-sample fidelity loss: pixel MSE for images, mean token NLL for text."""
     if bundle.task is TaskKind.TEXT:
         ids = np.asarray(reference)
-        b, t = ids.shape
-        nll = T.logsumexp(output) - T.select_columns(output, ids.reshape(-1))
-        return nll.reshape(b, t).mean(axis=1)
+        return T.token_nll(output, ids, ids.shape[1])
     ref = reference if isinstance(reference, Tensor) else Tensor(reference)
     return T.row_mse(output, ref)
 

@@ -67,16 +67,20 @@ def penalized_sup_hard(per_sample_loss_fn, x: np.ndarray, dual_var: float,
     """Ascend loss(v) - dual_var * ||v - x||^2 by the spec's `attack`; return v*."""
 
     def scored(leaf: Tensor) -> Tensor:
-        cost = (leaf - Tensor(x)).square().sum(axis=1)
-        return per_sample_loss_fn(leaf) - T.scale(cost, dual_var)
+        return per_sample_loss_fn(leaf) - T.scale(T.row_sq_dist(leaf, x), dual_var)
 
     return attack(scored, x, spec)
 
 
 # ----------------------------------------------------------------- pipelines
+def _stack(rows: np.ndarray, k: int) -> np.ndarray:
+    """k stacked copies of a (B, D) array; for k = 1 the array itself, which no pass writes."""
+    return rows if k == 1 else np.tile(rows, (k, 1))
+
+
 def _tile(realization: ChannelRealization, k: int) -> ChannelRealization:
     """The same per-row channel draw for k stacked copies of the batch."""
-    return ChannelRealization(h=np.tile(realization.h, (k, 1)), w=np.tile(realization.w, (k, 1)))
+    return ChannelRealization(h=_stack(realization.h, k), w=_stack(realization.w, k))
 
 
 def clean_inner_loss(bundle, x, channel_cfg: ChannelConfig, rng) -> Tensor:
@@ -155,7 +159,7 @@ def inner_dual_loss(bundle, x, channel_cfg: ChannelConfig, rob: RobustnessConfig
 
     def loss_at(view, points: Tensor, k: int) -> Tensor:
         out = M.pipeline(view, points, _tile(realization, k))
-        return M.per_sample_reconstruction_loss(view, np.tile(x, (k, 1)), out)
+        return M.per_sample_reconstruction_loss(view, _stack(x, k), out)
 
     return _penalized_objective(loss_at, bundle, frozen, center, rob.lam, rob.rho, rob, spec,
                                 attack_rng or rng)
@@ -176,7 +180,7 @@ def outer_dual_loss(bundle, x, channel_cfg: ChannelConfig, rob: RobustnessConfig
     z, _ = transmit(channel_cfg, u, rng)
 
     def loss_at(view, points: Tensor, k: int) -> Tensor:
-        return M.per_sample_channel_loss(Tensor(np.tile(s0, (k, 1))), M.channel_decode(view, points))
+        return M.per_sample_channel_loss(Tensor(_stack(s0, k)), M.channel_decode(view, points))
 
     return _penalized_objective(loss_at, bundle, frozen, z, rob.gamma, rob.mu, rob, spec,
                                 attack_rng or rng)

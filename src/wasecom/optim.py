@@ -58,17 +58,30 @@ class Adam:
         self.t = 0
         self.m = np.zeros_like(self.data)
         self.v = np.zeros_like(self.data)
+        self._scratch = (np.empty_like(self.data), np.empty_like(self.data))
 
     def step(self):
+        """m, v and the update as in data -= lr * (m / b1t) / (sqrt(v / b2t) + eps),
+        each operation in that order, with the temporaries in two scratch buffers."""
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
         g, m, v = self.grad, self.m, self.v
+        s, r = self._scratch
         m *= self.beta1
-        m += (1.0 - self.beta1) * g
+        np.multiply(g, 1.0 - self.beta1, out=s)
+        m += s
         v *= self.beta2
-        v += (1.0 - self.beta2) * (g * g)
-        self.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+        np.multiply(g, g, out=s)
+        s *= 1.0 - self.beta2
+        v += s
+        np.divide(m, b1t, out=s)
+        s *= self.lr
+        np.divide(v, b2t, out=r)
+        np.sqrt(r, out=r)
+        r += self.eps
+        s /= r
+        self.data -= s
 
     def zero_grad(self):
         self.grad.fill(0.0)

@@ -17,6 +17,11 @@ from .tensor import Tensor
 _NORM_FLOOR = 1e-12
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """(B, 1) L2 norms of v's rows: np.linalg.norm(v, axis=1, keepdims=True)'s operations."""
+    return np.sqrt(np.add.reduce(v * v, 1, keepdims=True))
+
+
 class PerturbMethod(str, enum.Enum):
     NONE = "none"
     GAUSSIAN = "gaussian"
@@ -43,7 +48,7 @@ def project_ball(x_tilde: np.ndarray, center: np.ndarray, radius: float) -> np.n
     if not np.isfinite(radius):
         return x_tilde.copy()
     delta = x_tilde - center
-    norms = np.linalg.norm(delta, axis=1, keepdims=True)
+    norms = _row_norms(delta)
     factor = np.minimum(1.0, radius / np.maximum(norms, _NORM_FLOOR))
     return center + delta * factor
 
@@ -86,7 +91,7 @@ def pgd(loss_fn, x: np.ndarray, spec: PerturbSpec) -> np.ndarray:
             improved = val > best_val
             best[improved] = current[improved]
             best_val = np.maximum(best_val, val)
-        norms = np.linalg.norm(grad, axis=1, keepdims=True)
+        norms = _row_norms(grad)
         direction = np.where(norms > _NORM_FLOOR, grad / np.maximum(norms, _NORM_FLOOR), 0.0)
         current = project_ball(current + alpha * direction, x, spec.radius)
     final_val = loss_fn(Tensor(current)).data

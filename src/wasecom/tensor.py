@@ -11,6 +11,13 @@ that list.  A closure holds only the arrays its backward reads: an op that
 needs a temporary to compute its value lets it go once the value is built, so
 a tape keeps no more memory alive than its gradients need.
 
+The hot chains are fused into single nodes whose values and gradients are
+those of the op chain bit for bit: `dense` (matmul, bias, activation),
+`rms_normalize`, `scale_shift`, `row_mse`, `token_nll` (the text loss,
+log-sum-exp minus the target logit, averaged per sequence) and `row_sq_dist`
+(a per-row squared distance to a constant).  A graph holds fewer nodes, and
+on tiny arrays each node's Python dispatch costs more than its arithmetic.
+
 An interior node keeps the first gradient written to it as is, so interior
 gradients may share arrays with each other (an `add` hands its own gradient
 to its operands) and may be read-only broadcast views.  None of them is ever
@@ -192,14 +199,30 @@ def _needs_graph(t: Tensor) -> bool:
     return t.requires_grad or bool(t._parents)
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def _node(data, parents: tuple, backward) -> Tensor:
-    """The op result: on the tape with `backward` if any parent needs a graph."""
-    out = Tensor(data)
+    """The op result: on the tape with `backward` if any parent needs a graph.
+
+    A float64 ndarray is the array Tensor() would hold, so the result takes it
+    as is, without the constructor's asarray.
+    """
+    if data.__class__ is np.ndarray and data.dtype is _FLOAT64:
+        out = object.__new__(Tensor)
+        out.data = data
+        out.requires_grad = False
+        out.grad = None
+        out._backward_ran = False
+    else:
+        out = Tensor(data)
     for p in parents:
         if p.requires_grad or p._parents:
             out._parents = parents
             out._backward = backward
-            break
+            return out
+    out._parents = ()
+    out._backward = None
     return out
 
 
@@ -401,6 +424,60 @@ def row_mse(a: Tensor, b: Tensor) -> Tensor:
             b._accumulate(_reduce_grad_to(-g, b.data.shape))
 
     return _node(data, (a, b), _bw)
+
+
+def row_sq_dist(a: Tensor, x: np.ndarray) -> Tensor:
+    """Per-row squared distance sum((a - x)^2, axis=1) to a constant array x, as one node.
+
+    The float operations are those of (a - Tensor(x)).square().sum(axis=1), in order.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    try:
+        diff = a.data - x
+    except ValueError:
+        raise _incompatible("sub", a, Tensor(x)) from None
+    if diff.ndim != 2:
+        raise ValueError(f"row_sq_dist: expected a (batch, dim) array, got shape {diff.shape}")
+    data = np.add.reduce(diff * diff, 1)
+
+    def _bw(g):
+        a._accumulate(_reduce_grad_to(g[:, None] * (2.0 * diff), a.data.shape))
+
+    return _node(data, (a,), _bw)
+
+
+def token_nll(logits: Tensor, ids: np.ndarray, seq_len: int) -> Tensor:
+    """Per-sequence mean token NLL, as one node: (N, V) logits and the N target
+    ids of B sequences of seq_len tokens (N = B * seq_len) give a (B,) result.
+
+    The float operations are those of the chain
+    (logsumexp(logits) - select_columns(logits, ids)).reshape(B, seq_len).mean(axis=1),
+    in order; the logits' two gradient terms are added once, the log-sum-exp
+    term first, as the chain adds them.
+    """
+    ids = np.asarray(ids).reshape(-1)
+    a = logits.data
+    if a.ndim != 2 or seq_len < 1 or len(a) != len(ids) or len(a) % seq_len:
+        raise ValueError(f"token_nll: {a.shape} logits do not hold {len(ids)} ids "
+                         f"in sequences of {seq_len}")
+    n = len(a)
+    rows = np.arange(n)
+    m = np.maximum.reduce(a, -1, keepdims=True)
+    e = np.exp(a - m)
+    s = np.add.reduce(e, -1)
+    nll = m.squeeze(-1) + np.log(s)
+    nll -= a[rows, ids]
+    data = np.add.reduce(nll.reshape(n // seq_len, seq_len), 1) / seq_len
+
+    def _bw(g):
+        g = np.repeat(g / seq_len, seq_len)     # each token's share of its sequence's mean
+        g_a = g[:, None] * (e / s[:, None])     # the log-sum-exp term: g times the softmax
+        picked = g_a[rows, ids] - g             # plus the select term, -g at each target
+        np.add(g_a, 0.0, out=g_a)               # plus its zeros elsewhere: -0.0 becomes 0.0
+        g_a[rows, ids] = picked
+        logits._accumulate(g_a)
+
+    return _node(data, (logits,), _bw)
 
 
 def relu(a: Tensor) -> Tensor:

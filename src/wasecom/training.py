@@ -167,8 +167,9 @@ def _train_alternating(cfg: TrainConfig, data: Dataset, dims, bundle, checkpoint
                        on_step, robust: bool):
     """The one training loop: per minibatch, the OUTER then the INNER phase.
 
-    `robust` picks the objective pair: the penalized dual losses with their
-    attack streams and a dual step per minibatch, or the clean losses without.
+    `robust` picks the objective pair: the penalized dual losses and a dual
+    step per minibatch, or the clean losses without.  Each phase's attack
+    stream feeds the LSE objective's Gaussian draws and is built for it alone.
     """
     if bundle is None:
         bundle = ModelBundle(data.task, dims or default_dims(data), seed=cfg.seed)
@@ -194,8 +195,8 @@ def _train_alternating(cfg: TrainConfig, data: Dataset, dims, bundle, checkpoint
                 # the trailing 0 of the key keeps every draw, and so every trajectory, as pinned
                 rng = _stream(cfg.seed, channel_tag, step, 0)
                 if robust:
-                    val = dual_loss(view, x, cfg.channel, rob, spec, rng=rng,
-                                    attack_rng=_stream(cfg.seed, attack_tag, step, 0))
+                    attack_rng = _stream(cfg.seed, attack_tag, step, 0) if rob.use_lse else None
+                    val = dual_loss(view, x, cfg.channel, rob, spec, rng=rng, attack_rng=attack_rng)
                 else:  # no penalty, and no cost for a dual step to read
                     loss = clean_loss(view, x, cfg.channel, rng=rng)
                     val = DualObjectiveValue(loss, 0.0, float(loss.data), float("nan"))

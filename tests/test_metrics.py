@@ -67,6 +67,38 @@ def test_ssim_sliding_window_on_larger_images():
     assert MX.ssim(a, noisy) > MX.ssim(a, rng.uniform(size=(12, 12)))
 
 
+def _reference_ssim_per_image(x, y, window, max_val=1.0):
+    """SSIM one window at a time, each window's statistics from ndarray.mean."""
+    n, h, w = x.shape
+    c1, c2 = (0.01 * max_val) ** 2, (0.03 * max_val) ** 2
+    vals = []
+    for i in range(h - window + 1):
+        for j in range(w - window + 1):
+            px = x[:, i:i + window, j:j + window].reshape(n, -1)
+            py = y[:, i:i + window, j:j + window].reshape(n, -1)
+            ux, uy = px.mean(axis=1), py.mean(axis=1)
+            vx = ((px - ux[:, None]) ** 2).mean(axis=1)
+            vy = ((py - uy[:, None]) ** 2).mean(axis=1)
+            cov = ((px - ux[:, None]) * (py - uy[:, None])).mean(axis=1)
+            num = (2 * ux * uy + c1) * (2 * cov + c2)
+            den = (ux**2 + uy**2 + c1) * (vx + vy + c2)
+            vals.append(num / den)
+    return np.stack(vals, axis=1).mean(axis=1)
+
+
+@pytest.mark.parametrize("shape,window", [((64, 8, 8), 8), ((64, 6, 6), 6), ((16, 12, 12), 8),
+                                          ((7, 10, 10), 4), ((5, 32, 32), 8), ((3, 9, 7), 3),
+                                          ((1, 8, 8), 8)])
+def test_ssim_window_rows_match_a_per_window_loop_bitwise(shape, window):
+    rng = np.random.default_rng(sum(shape) + window)
+    x = rng.uniform(size=shape)
+    y = np.clip(x + rng.normal(scale=0.1, size=shape), 0.0, 1.0)
+    want = _reference_ssim_per_image(x, y, window)
+    got = MX._ssim_per_image(x, y, 1.0, window)
+    assert got.tobytes() == want.tobytes()
+    assert MX.ssim(x, y, window=window) == float(want.mean())
+
+
 def test_bleu_identical_sentence_is_one():
     sent = [3, 1, 4, 1, 5, 9, 2, 6]
     assert MX.bleu(sent, [sent]) == 1.0

@@ -31,6 +31,15 @@ def test_project_inside_unchanged_outside_rescaled():
     assert np.allclose(proj[0], [1.0, 0.0, 0.0])
 
 
+def test_row_norms_are_the_bits_of_linalg_norm():
+    rng = np.random.default_rng(21)
+    for v in (rng.normal(size=(7, 5)), rng.normal(size=(3, 64)) * 1e150,
+              rng.normal(size=(4, 9)) * 1e-170, np.zeros((2, 3)),
+              np.array([[np.inf, 1.0], [np.nan, 0.0]])):
+        want = np.linalg.norm(v, axis=1, keepdims=True)
+        assert P._row_norms(v).tobytes() == want.tobytes()
+
+
 def test_project_zero_radius_returns_center():
     center = np.ones((2, 2))
     moved = center + 0.5

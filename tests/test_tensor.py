@@ -358,6 +358,105 @@ def test_rms_normalize_is_bitwise_equal_to_ndarray_mean_chain():
     _assert_bitwise(_fused_and_chain(lambda u: T.rms_normalize(u, 1e-12), chain, [a], [True]))
 
 
+def _assert_same_bytes(results):
+    """Like _assert_bitwise, but a -0.0 where the chain has 0.0 fails too."""
+    fused, chain = results
+    assert len(fused) == len(chain)
+    for got, want in zip(fused, chain):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _token_nll_chain(logits, ids, seq_len):
+    nll = T.logsumexp(logits) - T.select_columns(logits, ids)
+    return nll.reshape(len(ids) // seq_len, seq_len).mean(axis=1)
+
+
+def _token_nll_inputs(seq_len, vocab):
+    """Logits of 3 sequences, their ids and an upstream gradient.  Two rows spread
+    their logits by thousands, so exp underflows to 0 off their maximum: one in
+    a sequence whose upstream gradient is negative, one where it is positive."""
+    n = 3 * seq_len
+    rng = np.random.default_rng(seq_len * 100 + vocab)
+    x, w, b = rng.normal(size=(n, 4)), rng.normal(size=(4, vocab)), rng.normal(size=vocab)
+    x[0] *= 3000.0
+    x[seq_len] *= 3000.0
+    ids = rng.integers(0, vocab, size=n)
+    return x, w, b, ids, np.array([-1.3, 0.7, -0.4])
+
+
+@pytest.mark.parametrize("vocab", [8, 32])
+@pytest.mark.parametrize("seq_len", [1, 8])
+@pytest.mark.parametrize("leaf", [True, False], ids=["leaf", "chain"])
+def test_token_nll_is_bytewise_equal_to_op_chain(seq_len, vocab, leaf):
+    x0, w0, b0, ids, upstream = _token_nll_inputs(seq_len, vocab)
+    results = []
+    for fn in (T.token_nll, _token_nll_chain):
+        if leaf:
+            logits = Tensor(x0 @ w0 + b0, requires_grad=True)
+            leaves = [logits]
+        else:   # the logits are a dense layer's output, as in the pipeline
+            leaves = [Tensor(a.copy(), requires_grad=True) for a in (x0, w0, b0)]
+            logits = T.dense(*leaves)
+        y = fn(logits, ids, seq_len)
+        (y * Tensor(upstream)).sum().backward()
+        results.append([y.data, logits.grad] + [p.grad for p in leaves])
+    _assert_same_bytes(results)
+    # the softmax underflows in the first rows of sequences 0 and 1; times the
+    # negative upstream gradient it is -0.0, and the chain's add of the
+    # select term's zeros makes that 0.0
+    logits_grad = results[1][1]
+    for row in (0, seq_len):
+        zeros = logits_grad[row] == 0.0
+        assert zeros.any() and not np.signbit(logits_grad[row][zeros]).any()
+
+
+@pytest.mark.parametrize("leaf", [True, False], ids=["leaf", "chain"])
+def test_row_sq_dist_is_bytewise_equal_to_op_chain(leaf):
+    rng = np.random.default_rng(10)
+    a, x = rng.normal(size=(6, 5)), rng.normal(size=(6, 5))
+    a[2] = x[2]   # a row at the center: zero distance and zero gradient
+
+    def chain(u):
+        return (u - Tensor(x)).square().sum(axis=1)
+
+    if not leaf:
+        _assert_same_bytes(_fused_and_chain(lambda u: T.row_sq_dist(u, x), chain, [a], [True]))
+        return
+    upstream = rng.normal(size=6)
+    results = []
+    for fn in (lambda u: T.row_sq_dist(u, x), chain):
+        u = Tensor(a.copy(), requires_grad=True)
+        y = fn(u)
+        (y * Tensor(upstream)).sum().backward()
+        results.append([y.data, u.grad])
+    _assert_same_bytes(results)
+    assert results[0][0][2] == 0.0
+
+
+def test_token_nll_and_row_sq_dist_pass_gradcheck():
+    rng = np.random.default_rng(12)
+    ids = rng.integers(0, 5, size=6)
+    x = rng.normal(size=(4, 3))
+    for name, forward, leaves in (
+            ("token-nll", lambda p: T.token_nll(T.matmul(p[0], p[1]), ids, 3).mean(),
+             [rng.normal(size=(6, 4)), rng.normal(size=(4, 5))]),
+            ("row-sq-dist", lambda p: T.row_sq_dist(T.tanh(p[0]), x).mean(),
+             [rng.normal(size=(4, 3))])):
+        res = check_case(name, forward, leaves)
+        assert res.ok, res
+
+
+def test_node_takes_a_float64_array_as_is():
+    data = np.ones((2, 3))
+    out = T._node(data, (Tensor(np.zeros(3)),), None)
+    assert out.data is data and out.grad is None and not out.requires_grad
+    assert out._parents == () and out._backward is None and not out._backward_ran
+    # anything else goes through the constructor's conversion
+    for other in (np.float64(2.0), np.ones(3, dtype=np.float32), 1.5):
+        out = T._node(other, (), None)
+        assert out.data.__class__ is np.ndarray and out.data.dtype == np.float64
+
+
 def test_fused_ops_shape_errors_keep_chain_messages():
     u = Tensor(np.zeros((2, 3)))
     with pytest.raises(ValueError, match=r"mul: incompatible shapes \(4, 5\) and \(2, 3\)"):
@@ -368,6 +467,14 @@ def test_fused_ops_shape_errors_keep_chain_messages():
         T.row_mse(u, Tensor(np.zeros((4, 5))))
     with pytest.raises(ValueError, match=r"rms_normalize.*\(3,\)"):
         T.rms_normalize(Tensor(np.zeros(3)), 1e-12)
+    with pytest.raises(ValueError, match=r"sub: incompatible shapes \(2, 3\) and \(4, 5\)"):
+        T.row_sq_dist(u, np.zeros((4, 5)))
+    with pytest.raises(ValueError, match=r"row_sq_dist.*\(3,\)"):
+        T.row_sq_dist(Tensor(np.zeros(3)), np.zeros(3))
+    with pytest.raises(ValueError, match=r"token_nll: \(2, 3\) logits do not hold 3 ids"):
+        T.token_nll(u, np.zeros(3, dtype=int), 1)
+    with pytest.raises(ValueError, match=r"token_nll.*in sequences of 4"):
+        T.token_nll(u, np.zeros(2, dtype=int), 4)
 
 
 def test_fused_ops_without_grad_build_no_graph():
@@ -383,7 +490,8 @@ def test_fused_ops_without_grad_build_no_graph():
         "log": T.log(u), "square": T.square(u), "power": T.power(u, 1.5),
         "tsum": T.tsum(u, 1), "tmean": T.tmean(u), "reshape": T.reshape(u, (3, 2)),
         "gather_rows": T.gather_rows(u, ids), "select_columns": T.select_columns(u, ids),
-        "logsumexp": T.logsumexp(u),
+        "logsumexp": T.logsumexp(u), "row_sq_dist": T.row_sq_dist(u, np.zeros((2, 3))),
+        "token_nll": T.token_nll(u, ids, 1),
     }
     ops = {name for name, fn in inspect.getmembers(T, inspect.isfunction)
            if fn.__module__ == T.__name__ and not name.startswith("_")}

@@ -307,6 +307,45 @@ def test_robust_smoke_run_moves_duals():
     assert any(r.lam != 0.5 or r.gamma != 0.5 for r in later)
 
 
+def _stream_keys(monkeypatch):
+    """Record the key of every child stream the training loop builds."""
+    keys, real = [], TR._stream
+
+    def recording(seed, tag, *rest):
+        keys.append((tag, *rest))
+        return real(seed, tag, *rest)
+
+    monkeypatch.setattr(TR, "_stream", recording)
+    return keys
+
+
+def test_only_the_lse_objective_builds_attack_streams(monkeypatch):
+    attack_tags = {TR.TAG_INNER_ATTACK, TR.TAG_OUTER_ATTACK}
+    keys = _stream_keys(monkeypatch)
+    # the acceptance text arm, 60 training rows in batches of 32: two steps
+    text = generate_synthetic_text(80, vocab_size=8, max_len=8, seed=0)
+    dims = ModelDims(64, 32, 96, 64, vocab_size=8, seq_len=8, embed_dim=8)
+    _, log = train(TrainConfig(
+        epochs=1, batch_size=32, lr=2e-3, seed=0, channel=ChannelConfig(ChannelKind.AWGN, 3.0),
+        robustness=RobustnessConfig(rho=0.05, mu=0.3),
+        perturb_inner=PerturbSpec(PerturbMethod.PGD, radius=0.05, epsilon_inf=1.0, steps=3),
+        perturb_outer=PerturbSpec(PerturbMethod.FGSM, radius=0.3, epsilon_inf=1.0)),
+        text, dims=dims)
+    assert log.records[-1].step == 1
+    assert {key[0] for key in keys} == {TR.TAG_SHUFFLE, TR.TAG_OUTER_CHANNEL, TR.TAG_INNER_CHANNEL}
+
+    keys.clear()
+    lse = RobustnessConfig(rho=0.5, mu=0.1, use_lse=True)
+    _, log = train(_cfg(robustness=lse,
+                        perturb_inner=PerturbSpec(PerturbMethod.GAUSSIAN, radius=0.5, sample_count=4),
+                        perturb_outer=PerturbSpec(PerturbMethod.GAUSSIAN, radius=0.1, sample_count=4)),
+                   _image_data(n=32))
+    steps = sorted({r.step for r in log.records})
+    assert len(steps) == 3   # 24 training rows in batches of 8
+    assert sorted(key for key in keys if key[0] in attack_tags) == sorted(
+        (tag, step, 0) for tag in attack_tags for step in steps)
+
+
 def test_dispatcher_routes_by_mode():
     data = _image_data(n=16)
     _, log_e = train(_cfg(mode=Mode.ERM), data)
